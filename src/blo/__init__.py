@@ -18,7 +18,7 @@ from .metrics import (AnalyticOracle, EnvelopeRow, TRACE_COLUMNS, TRACE_HEADER,
                       rate_envelope)
 from .solvers import (HypergradientResult, MethodSpec, RunSummary,
                       ScheduleConfig, SolverState, StepInfo, StopRule,
-                      adaptive_eta, bagdc_step, bda_hypergradient,
+                      bagdc_step, bda_hypergradient,
                       implicit_cg_hypergradient, implicit_ns_hypergradient,
                       nosa_step, resolve_schedule, rhg_hypergradient,
                       run_solver, schedule_at)

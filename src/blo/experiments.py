@@ -349,37 +349,31 @@ def _study_dimension_scaling(out: Path, seed: int) -> int:
     dimension grows.  The oracle-count split (1 vs T products per
     iteration) is the portable form of the claim."""
     dims = (100, 1000, 10000)
-    runs, rows, warnings = {}, [], []
-    points = {"bagdc": [], "rhg-T100": []}
-    ok = True
+    configs = []
     for n in dims:
         for label, method, iters in (("bagdc", MethodSpec("bagdc"), 50),
                                      ("rhg-T100", MethodSpec("rhg", T=100), 5)):
-            name = f"{label}-n{n}"
-            cfg = _quadratic_cfg(name, method,
-                                 ScheduleConfig(mode="strongly-convex"),
-                                 StopRule(max_iters=iters), n=n, seed=seed,
-                                 trace_every=max(1, iters // 5))
-            built = build_problem(cfg.problem)
-            _, summary, _ = _run_to_dir(built, cfg, out / name)
-            runs[name] = _summary_payload(summary)
-            ok = ok and summary.ok
-            per_iter = summary.wall_seconds / max(summary.iterations, 1)
-            hvps = summary.counts.hvps / max(summary.iterations, 1)
-            jvps = summary.counts.jvps / max(summary.iterations, 1)
-            points[label].append((n, per_iter))
-            rows.append(f"{name},seconds_per_iteration,,{per_iter!r},{per_iter!r}")
-            rows.append(f"{name},hvps_per_iteration,,,{hvps!r}")
-            rows.append(f"{name},jvps_per_iteration,,,{jvps!r}")
-    configs = []  # emitted below from the same recipe, for the record
-    for n in dims:
-        configs.append(_quadratic_cfg(f"bagdc-n{n}", MethodSpec("bagdc"),
-                                      ScheduleConfig(mode="strongly-convex"),
-                                      StopRule(max_iters=50), n=n, seed=seed))
-        configs.append(_quadratic_cfg(f"rhg-T100-n{n}", MethodSpec("rhg", T=100),
-                                      ScheduleConfig(mode="strongly-convex"),
-                                      StopRule(max_iters=5), n=n, seed=seed))
+            configs.append(_quadratic_cfg(f"{label}-n{n}", method,
+                                          ScheduleConfig(mode="strongly-convex"),
+                                          StopRule(max_iters=iters), n=n, seed=seed,
+                                          trace_every=max(1, iters // 5)))
     _emit_config(out, configs)
+    runs, rows, warnings = {}, [], []
+    points = {"bagdc": [], "rhg-T100": []}
+    ok = True
+    for cfg in configs:
+        name = cfg.name
+        built = build_problem(cfg.problem)
+        _, summary, _ = _run_to_dir(built, cfg, out / name)
+        runs[name] = _summary_payload(summary)
+        ok = ok and summary.ok
+        per_iter = summary.wall_seconds / max(summary.iterations, 1)
+        hvps = summary.counts.hvps / max(summary.iterations, 1)
+        jvps = summary.counts.jvps / max(summary.iterations, 1)
+        points[name.rsplit("-n", 1)[0]].append((cfg.problem.n, per_iter))
+        rows.append(f"{name},seconds_per_iteration,,{per_iter!r},{per_iter!r}")
+        rows.append(f"{name},hvps_per_iteration,,,{hvps!r}")
+        rows.append(f"{name},jvps_per_iteration,,,{jvps!r}")
     _write_comparison(out / "comparison.csv", rows)
 
     from .svgplot import AxesSpec, Series, emit_svg

@@ -59,27 +59,31 @@ class AggregatedProblem(BilevelProblem):
     lam: float = field(kw_only=True)
 
 
+def psi_weights(base: BilevelProblem, mu: float, lam: float) -> tuple[float, float]:
+    """Validated weights (w_ul, w_ll) = (mu*lam, 1 - mu) of psi = w_ul*F + w_ll*f;
+    ``mu > 0`` requires the base problem's upper-level curvature products."""
+    if not 0.0 <= mu <= 0.5:
+        raise ValueError(f"mu must lie in [0, 1/2], got {mu}")
+    if lam <= 0.0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    if mu != 0.0 and not base.has_ul_curvature:
+        raise CapabilityError(
+            "aggregation with mu > 0 needs hvp_yy_ul and jvp_xy_ul, "
+            "which this problem does not provide")
+    return mu * lam, 1.0 - mu
+
+
 def aggregate(base: BilevelProblem, mu: float, lam: float) -> BilevelProblem:
     """Blend the upper objective into the lower level.
 
     Returns a problem whose ll_* surface evaluates
     psi(x, y) = mu*lam*F(x, y) + (1 - mu)*f(x, y) and whose ul_* surface
     is unchanged.  ``mu = 0`` returns ``base`` itself (exact
-    pass-through, no wrapping cost); ``mu > 0`` requires the base
-    problem's upper-level curvature products.
+    pass-through, no wrapping cost); see ``psi_weights``.
     """
-    if not 0.0 <= mu <= 0.5:
-        raise ValueError(f"mu must lie in [0, 1/2], got {mu}")
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    w_ul, w_ll = psi_weights(base, mu, lam)
     if mu == 0.0:
         return base
-    if not base.has_ul_curvature:
-        raise CapabilityError(
-            "aggregation with mu > 0 needs hvp_yy_ul and jvp_xy_ul, "
-            "which this problem does not provide")
-    w_ul = mu * lam
-    w_ll = 1.0 - mu
     return AggregatedProblem(
         n=base.n,
         m=base.m,

@@ -13,6 +13,10 @@ scheme, no multiplier state), reverse-mode unrolling (RHG), implicit
 differentiation with CG or truncated Neumann inverses, and BDA (RHG over
 the aggregated lower level).  Hypergradient methods are driven by plain
 upper gradient steps with warm-started y.
+
+The single-loop steps call the base problem directly and report their
+own fixed oracle counts; only the hypergradient baselines wrap the
+problem (``counting_problem``, once per call of T inner steps).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .errors import DivergenceError, NonPositiveCurvatureError, SingularHessianError
 from .linalg import Array, LinearOperator, cg_solve, neumann_apply, power_iteration_lmax
 from .metrics import AnalyticOracle, TraceRecord, kkt_residual, kkt_residual_aggregated, lyapunov_value
-from .problem import BilevelProblem, Counts, aggregate, counting_problem
+from .problem import BilevelProblem, Counts, aggregate, counting_problem, psi_weights
 
 METHOD_NAMES = ("bagdc", "nosa", "rhg", "implicit-cg", "implicit-ns", "bda")
 
@@ -113,7 +117,7 @@ def resolve_schedule(cfg: ScheduleConfig, problem: BilevelProblem,
 
 
 def _ensure_finite(vec: Array, name: str) -> None:
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise DivergenceError(f"iterate {name} became non-finite")
 
 
@@ -124,6 +128,15 @@ class StepInfo:
     d: Array
     counts: Counts
     eta: float | None = None
+
+
+def _psi(w: tuple[float, float] | None, ul_prod, ll_prod, *args) -> Array:
+    """One psi_mu product, blended exactly as ``aggregate`` does; f alone
+    when ``w`` is None (mu = 0)."""
+    if w is None:
+        return ll_prod(*args)
+    w_ul, w_ll = w
+    return w_ul * ul_prod(*args) + w_ll * ll_prod(*args)
 
 
 def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
@@ -138,46 +151,33 @@ def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
     Note the cross product is taken at the *pre-update* y.  Exactly one
     HVP and one JVP per call (one extra HVP under the adaptive eta rule,
     which replaces eta by <r,r>/<r,Hr> for the residual r, falling back
-    to the supplied eta when the quotient degenerates).
+    to the supplied eta when the quotient degenerates).  Counts are taken
+    at the psi surface: one psi product is one product.
     """
-    counts = Counts()
-    psi = counting_problem(aggregate(problem, mu, lam), counts)
+    w = psi_weights(problem, mu, lam)
+    if mu == 0.0:
+        w = None
+    p = problem
     x, y, v = state.x, state.y, state.v
-    y1 = y - beta * psi.grad_y_ll(x, y)
+    y1 = y - beta * _psi(w, p.grad_y_ul, p.grad_y_ll, x, y)
     _ensure_finite(y1, "y")
-    r = psi.grad_y_ul(x, y1) - psi.hvp_yy_ll(x, y1, v)
+    r = p.grad_y_ul(x, y1) - _psi(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, v)
+    hvps = 1
     eta_k = eta
     if adaptive:
         rr = float(r @ r)
         if rr > 0.0:
-            rhr = float(r @ psi.hvp_yy_ll(x, y1, r))
+            hvps = 2
+            rhr = float(r @ _psi(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, r))
             if rhr > _ETA_CURV_FLOOR * rr:
                 eta_k = rr / rhr
     v1 = v + eta_k * r
     _ensure_finite(v1, "v")
-    d = psi.grad_x_ul(x, y1) - psi.jvp_xy_ll(x, y, v1)
+    d = p.grad_x_ul(x, y1) - _psi(w, p.jvp_xy_ul, p.jvp_xy_ll, x, y, v1)
     x1 = x - alpha * d
     _ensure_finite(x1, "x")
     new = SolverState(x1, y1, v1, state.k + 1, state.elapsed)
-    return new, StepInfo(d, counts, eta_k)
-
-
-def adaptive_eta(problem_psi: BilevelProblem, x: Array, y_next: Array, v: Array,
-                 fallback: float) -> float:
-    """Rayleigh-quotient step for the multiplier update.
-
-    eta = <r,r>/<r,Hr> with r = grad_y F(x, y_next) - H v and
-    H = the lower Hessian of ``problem_psi`` at (x, y_next); returns
-    ``fallback`` when r = 0 or the curvature quotient degenerates.
-    """
-    r = problem_psi.grad_y_ul(x, y_next) - problem_psi.hvp_yy_ll(x, y_next, v)
-    rr = float(r @ r)
-    if rr == 0.0:
-        return fallback
-    rhr = float(r @ problem_psi.hvp_yy_ll(x, y_next, r))
-    if rhr <= _ETA_CURV_FLOOR * rr:
-        return fallback
-    return rr / rhr
+    return new, StepInfo(d, Counts(3, hvps, 1), eta_k)
 
 
 def nosa_step(state: SolverState, problem: BilevelProblem, alpha: float,
@@ -187,8 +187,7 @@ def nosa_step(state: SolverState, problem: BilevelProblem, alpha: float,
         y+ = y - beta * grad_y f(x, y)
         x+ = x - alpha * (grad_x F(x, y+) - beta * [J_xy f(x, y)] grad_y F(x, y+))
     """
-    counts = Counts()
-    p = counting_problem(problem, counts)
+    p = problem
     x, y = state.x, state.y
     y1 = y - beta * p.grad_y_ll(x, y)
     _ensure_finite(y1, "y")
@@ -196,7 +195,8 @@ def nosa_step(state: SolverState, problem: BilevelProblem, alpha: float,
     d = p.grad_x_ul(x, y1) - beta * p.jvp_xy_ll(x, y, g_up)
     x1 = x - alpha * d
     _ensure_finite(x1, "x")
-    return SolverState(x1, y1, state.v, state.k + 1, state.elapsed), StepInfo(d, counts)
+    new = SolverState(x1, y1, state.v, state.k + 1, state.elapsed)
+    return new, StepInfo(d, Counts(3, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -475,25 +475,24 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
             break
         mu_k, a_k, b_k, e_k = schedule_at(cfg, k)
         before = state
-        t0 = time.perf_counter()
-        try:
-            # overflow is how divergence manifests; detect it, don't warn
-            with np.errstate(over="ignore", invalid="ignore"):
+        # overflow is how divergence manifests; detect it, don't warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            t0 = time.perf_counter()
+            try:
                 state, info = _dispatch_step(state, problem, method, cfg, mu_k,
                                              a_k, b_k, e_k, adaptive)
-        except SingularHessianError as exc:
-            status, error, error_at = "singular-hessian", str(exc), k
-            break
-        except DivergenceError as exc:
-            status, error, error_at = "diverged", str(exc), k
-            break
-        except NonPositiveCurvatureError as exc:
-            status, error, error_at = "error", str(exc), k
-            break
-        seconds += time.perf_counter() - t0
-        state.elapsed = seconds
-        totals.add(info.counts)
-        with np.errstate(over="ignore", invalid="ignore"):
+            except SingularHessianError as exc:
+                status, error, error_at = "singular-hessian", str(exc), k
+                break
+            except DivergenceError as exc:
+                status, error, error_at = "diverged", str(exc), k
+                break
+            except NonPositiveCurvatureError as exc:
+                status, error, error_at = "error", str(exc), k
+                break
+            seconds += time.perf_counter() - t0
+            state.elapsed = seconds
+            totals.add(info.counts)
             d_norm = float(np.linalg.norm(info.d))
             converged = stop.d_norm_tol is not None and d_norm <= stop.d_norm_tol
             timed_out = stop.max_seconds is not None and seconds >= stop.max_seconds

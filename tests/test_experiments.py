@@ -191,6 +191,16 @@ class TestReproduce:
             payload = json.loads((run_dir / "summary.json").read_text())
             assert payload["status"] in ("converged", "max-iters")
 
+    def test_dimension_scaling_config_matches_runs(self, tmp_path):
+        assert reproduce("dimension-scaling", tmp_path) == 0
+        config = json.loads((tmp_path / "config.json").read_text())
+        names = [r["name"] for r in config["runs"]]
+        assert names == [f"{m}-n{n}" for n in (100, 1000, 10000)
+                         for m in ("bagdc", "rhg-T100")]
+        for run in config["runs"]:
+            payload = json.loads((tmp_path / run["name"] / "summary.json").read_text())
+            assert payload["config"] == run
+
     def test_study_names_stable(self):
         assert STUDIES == ("counterexample", "eta-sweep", "ll-accuracy",
                            "dimension-scaling", "multimin", "hypercleaning")

@@ -1,14 +1,16 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blo.errors import DivergenceError, SingularHessianError
 from blo.linalg import cg_solve
-from blo.problem import BilevelProblem
+from blo.problem import BilevelProblem, aggregate
 from blo.solvers import (METHOD_NAMES, MethodSpec, RunSummary, ScheduleConfig,
-                         SolverState, StopRule, adaptive_eta, bagdc_step,
+                         SolverState, StopRule, bagdc_step,
                          bda_hypergradient, implicit_cg_hypergradient,
                          implicit_ns_hypergradient, nosa_step, resolve_schedule,
                          rhg_hypergradient, run_solver, schedule_at)
@@ -212,23 +214,124 @@ class TestBagdcStep:
 
 
 class TestAdaptiveEta:
+    """The Rayleigh-quotient rule eta = <r,r>/<r,Hr> inside ``bagdc_step``."""
+
+    @staticmethod
+    def adaptive_step(problem, y, fallback):
+        # beta = 0 keeps y+ = y, so the residual is r = grad_y F(0, y) - H 0
+        state = SolverState(np.zeros(2), np.asarray(y, dtype=float), np.zeros(2))
+        return bagdc_step(state, problem, 0.0, 0.1, 0.0, fallback, adaptive=True)
+
     def test_identity_curvature(self, quad):
-        eta = adaptive_eta(quad.problem, np.zeros(2), np.array([1.0, 2.0]),
-                           np.zeros(2), fallback=9.0)
-        assert eta == pytest.approx(1.0)
+        new, info = self.adaptive_step(quad.problem, [1.0, 2.0], fallback=9.0)
+        assert info.eta == pytest.approx(1.0)
+        assert info.counts.hvps == 2
+        r = quad.problem.grad_y_ul(np.zeros(2), np.array([1.0, 2.0]))
+        np.testing.assert_allclose(new.v, r)
 
     def test_scaled_curvature(self):
         p = tiny_problem(hvp_scale=2.0, g_up=(1.0, 1.0))
-        eta = adaptive_eta(p, np.zeros(2), np.zeros(2), np.zeros(2), fallback=9.0)
-        assert eta == pytest.approx(0.5)
+        _, info = self.adaptive_step(p, np.zeros(2), fallback=9.0)
+        assert info.eta == pytest.approx(0.5)
 
     def test_zero_residual_falls_back(self):
         p = tiny_problem(hvp_scale=1.0, g_up=(0.0, 0.0))
-        assert adaptive_eta(p, np.zeros(2), np.zeros(2), np.zeros(2), 0.123) == 0.123
+        _, info = self.adaptive_step(p, np.zeros(2), fallback=0.123)
+        assert info.eta == 0.123
+        assert info.counts.hvps == 1
 
     def test_flat_curvature_falls_back(self):
         p = tiny_problem(hvp_scale=0.0, g_up=(1.0, 0.0))
-        assert adaptive_eta(p, np.zeros(2), np.zeros(2), np.zeros(2), 0.25) == 0.25
+        new, info = self.adaptive_step(p, np.zeros(2), fallback=0.25)
+        assert info.eta == 0.25
+        assert info.counts.hvps == 2
+        np.testing.assert_array_equal(new.v, [0.25, 0.0])
+
+
+def reference_bagdc(state, problem, mu, alpha, beta, eta, lam, adaptive):
+    """The sweep evaluated on the ``aggregate``d problem, as the reference
+    the lean step must match bit for bit.  Returns (x+, y+, v+, d, eta,
+    hvps)."""
+    psi = aggregate(problem, mu, lam)
+    x, y, v = state.x, state.y, state.v
+    y1 = y - beta * psi.grad_y_ll(x, y)
+    r = psi.grad_y_ul(x, y1) - psi.hvp_yy_ll(x, y1, v)
+    eta_k, hvps = eta, 1
+    if adaptive:
+        rr = float(r @ r)
+        if rr > 0.0:
+            hvps = 2
+            rhr = float(r @ psi.hvp_yy_ll(x, y1, r))
+            if rhr > 1e-12 * rr:
+                eta_k = rr / rhr
+    v1 = v + eta_k * r
+    d = psi.grad_x_ul(x, y1) - psi.jvp_xy_ll(x, y, v1)
+    return x - alpha * d, y1, v1, d, eta_k, hvps
+
+
+def spy_problem(problem, calls):
+    """``problem`` with every oracle callback logging its name to ``calls``."""
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+    kinds = ("grad_x_ul", "grad_y_ul", "grad_y_ll", "hvp_yy_ll", "jvp_xy_ll",
+             "hvp_yy_ul", "jvp_xy_ul")
+    return dataclasses.replace(
+        problem, **{k: spy(k, getattr(problem, k)) for k in kinds})
+
+
+_TESTBEDS = {"quadratic": make_quadratic(3, spectrum=(0.5, 2.0), seed=4).problem,
+             "multimin": make_multimin().problem}
+
+
+class TestLeanStepEquivalence:
+    @settings(max_examples=80, deadline=None)
+    @given(testbed=st.sampled_from(sorted(_TESTBEDS)),
+           mu=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True)),
+           lam=st.floats(0.1, 4.0), adaptive=st.booleans(),
+           steps=st.tuples(st.floats(1e-3, 2.0), st.floats(0.0, 1.0),
+                           st.floats(1e-3, 2.0)),
+           seed=st.integers(0, 10_000))
+    def test_matches_aggregated_sweep(self, testbed, mu, lam, adaptive, steps, seed):
+        problem = _TESTBEDS[testbed]
+        alpha, beta, eta = steps
+        rng = np.random.default_rng(seed)
+        state = SolverState(rng.standard_normal(problem.n),
+                            rng.standard_normal(problem.m),
+                            rng.standard_normal(problem.m))
+        new, info = bagdc_step(state, problem, mu, alpha, beta, eta, lam,
+                               adaptive=adaptive)
+        x1, y1, v1, d, eta_k, hvps = reference_bagdc(state, problem, mu, alpha,
+                                                     beta, eta, lam, adaptive)
+        np.testing.assert_array_equal(new.x, x1)
+        np.testing.assert_array_equal(new.y, y1)
+        np.testing.assert_array_equal(new.v, v1)
+        np.testing.assert_array_equal(info.d, d)
+        assert info.eta == eta_k
+        assert (info.counts.grads, info.counts.hvps, info.counts.jvps) == (3, hvps, 1)
+        assert new.k == state.k + 1
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_each_psi_product_is_one_ul_and_one_ll_call(self, adaptive):
+        calls = []
+        p = spy_problem(_TESTBEDS["quadratic"], calls)
+        state = SolverState(np.full(3, 0.3), np.full(3, -0.2), np.full(3, 0.1))
+        _, info = bagdc_step(state, p, 0.25, 0.1, 0.5, 0.5, adaptive=adaptive)
+        assert info.counts.hvps == (2 if adaptive else 1)
+        hvp = ["hvp_yy_ul", "hvp_yy_ll"]
+        assert calls == (["grad_y_ul", "grad_y_ll", "grad_y_ul"] + hvp
+                         + (hvp if adaptive else [])
+                         + ["grad_x_ul", "jvp_xy_ul", "jvp_xy_ll"])
+
+    def test_mu_zero_touches_only_the_lower_level(self):
+        calls = []
+        p = spy_problem(_TESTBEDS["quadratic"], calls)
+        state = SolverState(np.full(3, 0.3), np.full(3, -0.2), np.full(3, 0.1))
+        bagdc_step(state, p, 0.0, 0.1, 0.5, 0.5)
+        assert calls == ["grad_y_ll", "grad_y_ul", "hvp_yy_ll", "grad_x_ul",
+                         "jvp_xy_ll"]
 
 
 class TestNosa:
@@ -549,6 +652,27 @@ class TestRunSolver:
             # wall clock is the one legitimately nondeterministic column
             assert ra[:1] + ra[2:] == rb[:1] + rb[2:]
         assert len(a) == len(b)
+
+
+class TestGoldenTrace:
+    def test_merely_convex_multimin_trace(self):
+        # SHA-256 of the trace rows (without wall_seconds) of the multimin
+        # study's bagdc schedule, recorded before the step evaluated psi_mu
+        # without wrapping the problem; elementwise arithmetic on 1-2
+        # element arrays, so it does not depend on the BLAS build
+        mm = make_multimin()
+        sched = ScheduleConfig(mode="merely-convex", alpha=2000.0, beta=0.9,
+                               eta=16.0, mu_bar=0.5, p=1.0 / 12.0, lam=1.0)
+        rows = []
+        _, summary = run_solver(mm.problem, MethodSpec("bagdc"), sched,
+                                StopRule(max_iters=3000), mm.oracle,
+                                sink=rows.append, trace_every=500)
+        text = "".join(
+            ",".join(c for i, c in enumerate(r.csv_row().split(",")) if i != 1) + "\n"
+            for r in rows)
+        assert summary.status == "max-iters" and len(rows) == 7
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "eda6a97531a831c2918b50b0f103269182befea37ad94704b3a64c90da105d71")
 
 
 class TestStepSummability:
