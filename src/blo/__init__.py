@@ -12,10 +12,9 @@ from .linalg import (CGResult, LinearOperator, cg_solve, diagonal_operator,
                      neumann_apply, power_iteration_lmax)
 from .problem import (AggregatedProblem, BilevelProblem, Counts, FdCheckReport,
                       aggregate, counting_problem, fd_check_gradients)
-from .metrics import (AnalyticOracle, EnvelopeRow, TRACE_COLUMNS, TRACE_HEADER,
-                      TraceRecord, hypergrad_error, kkt_residual,
-                      kkt_residual_aggregated, lyapunov_value, quadratic_oracle,
-                      rate_envelope)
+from .metrics import (AnalyticOracle, TRACE_COLUMNS, TRACE_HEADER, TraceRecord,
+                      hypergrad_error, kkt_residual, kkt_residual_aggregated,
+                      lyapunov_value, quadratic_oracle)
 from .solvers import (HypergradientResult, MethodSpec, RunSummary,
                       ScheduleConfig, SolverState, StepInfo, StopRule,
                       bagdc_step, bda_hypergradient,
@@ -26,7 +25,7 @@ from .testbeds import (Dataset, HyperCleaningProblem, MultiMinimizerBilevel,
                        QuadraticBilevel, classifier_accuracy, corrupt_labels,
                        f1_clean, hypercleaning_problem, make_multimin,
                        make_quadratic, split_dataset, synth_blobs)
-from .dataio import ParseError, load_csv, load_idx, read_idx
+from .dataio import ParseError, load_idx, read_idx
 from .config import ExperimentConfig, ProblemSpec, parse_config
 from .experiments import (STUDIES, build_problem, execute_run, reproduce,
                           run_experiments)

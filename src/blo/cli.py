@@ -16,8 +16,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import parse_config
 from .errors import ConfigError
 from .experiments import STUDIES, build_problem, reproduce, run_experiments
@@ -126,7 +124,6 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    np.seterr(over="ignore", invalid="ignore")
     try:
         if args.command == "run":
             code = _cmd_run(args)

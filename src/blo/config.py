@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .solvers import METHOD_NAMES, MethodSpec, ScheduleConfig, StopRule
@@ -77,13 +77,17 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}.{unknown[0]}: unknown key (allowed: {sorted(allowed)})")
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _num(obj: dict, key: str, path: str, default, *, optional=False):
     if key not in obj:
         return default
     val = obj[key]
     if val is None and optional:
         return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         raise ConfigError(f"{path}.{key}: expected a number, got {_type_name(val)}")
     return val
 
@@ -129,14 +133,13 @@ def _parse_problem(obj: dict, path: str) -> ProblemSpec:
                           f"(expected one of {_PROBLEM_FAMILIES})")
     spectrum = obj.get("spectrum", "identity")
     if isinstance(spectrum, list):
-        if len(spectrum) != 2 or not all(
-                isinstance(s, (int, float)) and not isinstance(s, bool) for s in spectrum):
+        if len(spectrum) != 2 or not all(_is_number(s) for s in spectrum):
             raise ConfigError(f"{path}.spectrum: expected \"identity\" or [lmin, lmax]")
         spectrum = (float(spectrum[0]), float(spectrum[1]))
     elif spectrum != "identity":
         raise ConfigError(f"{path}.spectrum: expected \"identity\" or [lmin, lmax]")
     z0 = obj.get("z0", "ones")
-    if isinstance(z0, list):
+    if isinstance(z0, list) and all(_is_number(c) for c in z0):
         z0 = tuple(float(c) for c in z0)
     elif z0 not in ("ones", "random"):
         raise ConfigError(f"{path}.z0: expected \"ones\", \"random\", or a vector")
@@ -300,9 +303,10 @@ def parse_config(text: str) -> list[ExperimentConfig]:
     for i, raw in enumerate(doc):
         path = f"runs[{i}]"
         raw = _require_dict(raw, path)
-        for j, variant in enumerate(_expand_sweeps(raw, path)):
+        variants = _expand_sweeps(raw, path)
+        for j, variant in enumerate(variants):
             cfg = _parse_run(variant, path)
-            if cfg.name is not None and len(_expand_sweeps(raw, path)) > 1:
+            if cfg.name is not None and len(variants) > 1:
                 cfg = ExperimentConfig(**{**cfg.__dict__, "name": f"{cfg.name}-{j}"})
             configs.append(cfg)
     if not configs:

@@ -2,13 +2,11 @@
 
 IDX is the big-endian binary layout used by the classic digit corpora:
 magic 0x00000803 for image tensors (count, rows, cols, then raw bytes
-scaled here to [0, 1]) and 0x00000801 for label vectors.  The CSV
-dialect is a plain ``label,f0,f1,...`` table.
+scaled here to [0, 1]) and 0x00000801 for label vectors.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 from pathlib import Path
 
@@ -67,41 +65,3 @@ def load_idx(images_path, labels_path) -> Dataset:
     n_classes = int(labels.max()) + 1 if labels.size else 0
     return Dataset(feats, labels, max(n_classes, 2), np.ones(feats.shape[0], dtype=bool))
 
-
-def load_csv(path) -> Dataset:
-    """Read a ``label,f0,f1,...`` table; errors carry 1-based line numbers."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not header or header[0] != "label":
-            raise ParseError(f"{path}: line 1: header must start with 'label', "
-                             f"got {header[:1]!r}")
-        expected = [f"f{i}" for i in range(len(header) - 1)]
-        if header[1:] != expected:
-            raise ParseError(f"{path}: line 1: feature columns must be f0,f1,..., "
-                             f"got {header[1:]!r}")
-        d = len(expected)
-        labels, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise ParseError(f"{path}: line {lineno}: expected {d + 1} cells, "
-                                 f"found {len(row)}")
-            try:
-                label = int(row[0])
-                rows.append([float(c) for c in row[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if label < 0:
-                raise ParseError(f"{path}: line {lineno}: negative label {label}")
-            labels.append(label)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    feats = np.asarray(rows, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
-    return Dataset(feats, lab, max(int(lab.max()) + 1, 2),
-                   np.ones(feats.shape[0], dtype=bool))

@@ -13,7 +13,7 @@ aggregated surrogate a solver iterates on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -161,41 +161,3 @@ class TraceRecord:
             else:
                 cells.append(repr(float(val)))
         return ",".join(cells)
-
-
-@dataclass(frozen=True)
-class EnvelopeRow:
-    K: int
-    min_value: float
-    k_times_min: float
-    normalized: float | None
-
-
-def rate_envelope(trace: Sequence[TraceRecord], metric: str,
-                  k_grid: Sequence[int], p: float | None = None) -> list[EnvelopeRow]:
-    """Prefix minima of a trace metric and their O(1/K)-style products.
-
-    For each K in ``k_grid`` returns min over recorded iterations k <= K,
-    the product K * min, and (when ``p`` is given and K >= 2) the
-    merely-convex normalization K^(1-11p) * min / ln K.  The trace must
-    cover max(k_grid); an empty grid returns an empty list.
-    """
-    if not k_grid:
-        return []
-    pairs = []
-    for rec in trace:
-        val = getattr(rec, metric)
-        if val is None:
-            raise MissingOracleError(f"metric {metric!r} was not recorded in this trace")
-        pairs.append((rec.k, float(val)))
-    if not pairs or max(k for k, _ in pairs) < max(k_grid):
-        raise ValueError(f"trace covers k <= {max((k for k, _ in pairs), default=-1)}, "
-                         f"grid needs {max(k_grid)}")
-    rows = []
-    for K in k_grid:
-        m = min(v for k, v in pairs if k <= K)
-        norm = None
-        if p is not None and K >= 2:
-            norm = float(K ** (1.0 - 11.0 * p) * m / np.log(K))
-        rows.append(EnvelopeRow(int(K), m, float(K * m), norm))
-    return rows

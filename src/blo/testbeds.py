@@ -282,17 +282,6 @@ class HyperCleaningProblem:
     reg_c: float
     problem: BilevelProblem
 
-    def grad_x_ll(self, x: Array, w: Array) -> Array:
-        """d f / d x, component i = sigmoid'(x_i) * loss_i(w) / N.
-
-        Not used by the solvers (they only need d F / d x = 0) but handy
-        for derivative checking the weighting mechanism.
-        """
-        a = _augment(self.train.features)
-        w_mat = np.asarray(w, dtype=float).reshape(self.train.n_classes, -1)
-        ce = _ce_losses(w_mat, a, self.train.labels)
-        return _dsigmoid(np.asarray(x, dtype=float)) * ce / self.train.n
-
 
 def hypercleaning_problem(train: Dataset, val: Dataset,
                           c: float = 1e-3) -> HyperCleaningProblem:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from blo.cli import main
@@ -62,6 +63,12 @@ class TestRunCommand:
         payload = json.loads((out / "run-000" / "summary.json").read_text())
         assert payload["config"]["seed"] == 9
         assert payload["config"]["problem"]["seed"] == 9
+
+    def test_numpy_error_settings_untouched(self, tmp_path):
+        cfg = write_config(tmp_path, QUAD_RUN)
+        before = np.geterr()
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert np.geterr() == before
 
     def test_bad_seed_env(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, QUAD_RUN)

@@ -161,10 +161,11 @@ class TestValidationErrors:
             parse_config(json.dumps(base))
 
     def test_bad_z0(self):
-        doc = json.dumps({"problem": {"family": "quadratic", "z0": "mean"},
-                          "method": {"name": "bagdc"}})
-        with pytest.raises(ConfigError, match=r"problem.z0"):
-            parse_config(doc)
+        for z0 in ("mean", ["a"]):
+            doc = json.dumps({"problem": {"family": "quadratic", "z0": z0},
+                              "method": {"name": "bagdc"}})
+            with pytest.raises(ConfigError, match=r"runs\[0\]\.problem\.z0"):
+                parse_config(doc)
 
 
 class TestSweeps:

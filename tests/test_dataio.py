@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blo.dataio import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, ParseError,
-                        load_csv, load_idx, read_idx)
+                        load_idx, read_idx)
 
 
 def write_images(path, images):
@@ -99,70 +99,6 @@ class TestLoadIdx:
         write_images(img, [np.zeros((1, 1), dtype=np.uint8)] * 3)
         write_labels(lab, [0, 0, 0])
         assert load_idx(img, lab).n_classes == 2
-
-
-class TestLoadCsv:
-    def test_minimal_table(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("label,f0\n1,0.5\n")
-        ds = load_csv(p)
-        assert ds.n == 1 and ds.dim == 1
-        assert ds.labels[0] == 1
-        assert ds.features[0, 0] == 0.5
-
-    def test_multi_column(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("label,f0,f1\n0,1.0,2.0\n2,-0.5,3.5\n")
-        ds = load_csv(p)
-        assert ds.n == 2 and ds.dim == 2 and ds.n_classes == 3
-        np.testing.assert_array_equal(ds.features[1], [-0.5, 3.5])
-
-    def test_blank_lines_skipped(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("label,f0\n1,0.5\n\n0,0.25\n")
-        assert load_csv(p).n == 2
-
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("")
-        with pytest.raises(ParseError, match="empty file"):
-            load_csv(p)
-
-    def test_bad_header_name(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("class,f0\n1,0.5\n")
-        with pytest.raises(ParseError, match=r"line 1: header must start with 'label'"):
-            load_csv(p)
-
-    def test_bad_feature_columns(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("label,x0,x1\n1,0.5,0.5\n")
-        with pytest.raises(ParseError, match=r"line 1: feature columns must be f0,f1"):
-            load_csv(p)
-
-    def test_cell_count_line_numbered(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("label,f0,f1\n1,0.5,0.5\n0,0.25\n")
-        with pytest.raises(ParseError, match=r"line 3: expected 3 cells, found 2"):
-            load_csv(p)
-
-    def test_non_numeric_cell_line_numbered(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("label,f0\n1,0.5\noops,0.5\n")
-        with pytest.raises(ParseError, match=r"line 3: "):
-            load_csv(p)
-
-    def test_negative_label_line_numbered(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("label,f0\n1,0.5\n-2,0.5\n")
-        with pytest.raises(ParseError, match=r"line 3: negative label -2"):
-            load_csv(p)
-
-    def test_header_only(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("label,f0\n")
-        with pytest.raises(ParseError, match="no data rows"):
-            load_csv(p)
 
 
 class TestRoundTrip:

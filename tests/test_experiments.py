@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -23,6 +24,36 @@ def quick_config(name=None, max_iters=20, beta=0.5):
     if name is not None:
         doc["name"] = name
     return parse_config(json.dumps(doc))[0]
+
+
+def masked_study_digest(out):
+    """SHA-256 of a study's outputs with every wall-clock figure left out.
+
+    Covers config.json, the study summary without the runs'
+    ``wall_seconds``, each run's trace without its ``wall_seconds``
+    column, comparison.csv with the ``wall_seconds`` cells and the
+    ``seconds_per_iteration`` values blanked, and every SVG except
+    fig_scaling.svg, whose y axis is time.
+    """
+    digest = hashlib.sha256()
+    digest.update((out / "config.json").read_bytes())
+    summary = json.loads((out / "summary.json").read_text())
+    for run in summary["runs"].values():
+        del run["wall_seconds"]
+    digest.update(json.dumps(summary, sort_keys=True).encode())
+    for run in json.loads((out / "config.json").read_text())["runs"]:
+        for cells in masked_rows(out / run["name"] / "trace.csv"):
+            digest.update((",".join(cells[:1] + cells[2:]) + "\n").encode())
+    for line in (out / "comparison.csv").read_text().splitlines():
+        cells = line.split(",")
+        cells[3] = ""
+        if cells[1] == "seconds_per_iteration":
+            cells[4] = ""
+        digest.update((",".join(cells) + "\n").encode())
+    for svg in sorted(out.glob("*.svg")):
+        if svg.name != "fig_scaling.svg":
+            digest.update(svg.name.encode() + svg.read_bytes())
+    return digest.hexdigest()
 
 
 def masked_rows(path):
@@ -163,6 +194,18 @@ class TestBuildProblem:
         assert built.problem.n == 4
 
 
+GOLDEN_STUDY_DIGESTS = {
+    "counterexample":
+        "37831d959e1fb039e0449fdeda12635a5f09ff08b054b6ace4b803e22ef4bc35",
+    "eta-sweep":
+        "3be48e9cf959bb161bfbcfa76c36f5f63359eaf6e06a83bd6ea3732ab6b50c8a",
+    "ll-accuracy":
+        "3f9dedfc0ccfd7074e2614edc779bd6758fe3f18e6b9f36297a4bcf375abe0d7",
+    "dimension-scaling":
+        "1cd9e4d205b5685dcd9209938412c15b2b6d30b41e7eb13b023864296508474f",
+}
+
+
 class TestReproduce:
     def test_unknown_study(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown study"):
@@ -200,6 +243,13 @@ class TestReproduce:
         for run in config["runs"]:
             payload = json.loads((tmp_path / run["name"] / "summary.json").read_text())
             assert payload["config"] == run
+
+    @pytest.mark.parametrize("study", ["counterexample", "eta-sweep",
+                                       "ll-accuracy", "dimension-scaling"])
+    def test_golden_study_outputs(self, study, tmp_path):
+        # recorded before the studies ran through one shared runner
+        reproduce(study, tmp_path)
+        assert masked_study_digest(tmp_path) == GOLDEN_STUDY_DIGESTS[study]
 
     def test_study_names_stable(self):
         assert STUDIES == ("counterexample", "eta-sweep", "ll-accuracy",

@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from blo.errors import MissingOracleError
 from blo.linalg import cg_solve
 from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, AnalyticOracle,
                          TraceRecord, hypergrad_error, kkt_residual,
-                         kkt_residual_aggregated, lyapunov_value,
-                         rate_envelope)
+                         kkt_residual_aggregated, lyapunov_value)
 from blo.problem import aggregate
 from blo.solvers import rhg_hypergradient
 from blo.testbeds import make_quadratic
@@ -166,47 +164,6 @@ def _rec(k, kkt):
                        dist_x_rel=None, dist_y=None, lyapunov=None,
                        mu=0.0, alpha=0.1, beta=0.1, eta=0.1,
                        hvp_count=k, jvp_count=k)
-
-
-class TestRateEnvelope:
-    def test_constant_metric(self):
-        trace = [_rec(k, 3.0) for k in range(11)]
-        rows = rate_envelope(trace, "kkt_residual", [1, 5, 10])
-        assert [r.min_value for r in rows] == [3.0, 3.0, 3.0]
-        assert [r.k_times_min for r in rows] == [3.0, 15.0, 30.0]
-
-    def test_one_over_k_metric_bounded(self):
-        trace = [_rec(k, 1.0 / (k + 1)) for k in range(101)]
-        rows = rate_envelope(trace, "kkt_residual", [1, 10, 100])
-        assert all(r.k_times_min <= 1.0 for r in rows)
-
-    def test_empty_grid(self):
-        assert rate_envelope([_rec(0, 1.0)], "kkt_residual", []) == []
-
-    def test_normalized_column(self):
-        trace = [_rec(k, 2.0) for k in range(5)]
-        rows = rate_envelope(trace, "kkt_residual", [1, 4], p=1.0 / 12.0)
-        assert rows[0].normalized is None
-        expect = 4.0 ** (1.0 - 11.0 / 12.0) * 2.0 / math.log(4.0)
-        assert rows[1].normalized == pytest.approx(expect)
-
-    def test_grid_beyond_trace_raises(self):
-        with pytest.raises(ValueError):
-            rate_envelope([_rec(0, 1.0)], "kkt_residual", [5])
-
-    def test_unrecorded_metric_raises(self):
-        with pytest.raises(MissingOracleError):
-            rate_envelope([_rec(0, 1.0)], "grad_phi_norm", [0])
-
-    @settings(max_examples=30, deadline=None)
-    @given(vals=st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=30))
-    def test_prefix_minimum_property(self, vals):
-        trace = [_rec(k, v) for k, v in enumerate(vals)]
-        ks = [0, len(vals) // 2, len(vals) - 1]
-        rows = rate_envelope(trace, "kkt_residual", ks)
-        for K, row in zip(ks, rows):
-            assert row.min_value == min(vals[:K + 1])
-        assert rows[0].min_value >= rows[1].min_value >= rows[2].min_value
 
 
 class TestTraceRecord:

@@ -245,19 +245,6 @@ class TestHyperCleaning:
         report = fd_check_gradients(hp.problem, x, w, tol=1e-3)
         assert report.passed, str(report)
 
-    def test_weighting_gradient_matches_finite_differences(self, hp):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(hp.problem.n)
-        w = 0.1 * rng.standard_normal(hp.problem.m)
-        h = 1e-6
-        got = hp.grad_x_ll(x, w)
-        for i in range(0, hp.problem.n, 5):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd = (hp.problem.ll_value(xp, w) - hp.problem.ll_value(xm, w)) / (2 * h)
-            assert got[i] == pytest.approx(fd, rel=1e-4, abs=1e-10)
-
     def test_hessian_product_symmetry(self, hp):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(hp.problem.n)
