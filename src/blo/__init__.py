@@ -10,8 +10,8 @@ from .errors import (CapabilityError, ConfigError, DivergenceError,
 from .linalg import (CGResult, LinearOperator, cg_solve, diagonal_operator,
                      gaussian_vector, identity_operator, matrix_operator,
                      neumann_apply, power_iteration_lmax)
-from .problem import (AggregatedProblem, BilevelProblem, Counts, FdCheckReport,
-                      aggregate, counting_problem, fd_check_gradients)
+from .problem import (BilevelProblem, Counts, FdCheckReport, aggregate,
+                      counting_problem, fd_check_gradients)
 from .metrics import (AnalyticOracle, TRACE_COLUMNS, TRACE_HEADER, TraceRecord,
                       hypergrad_error, kkt_residual, kkt_residual_aggregated,
                       lyapunov_value, quadratic_oracle)

@@ -55,10 +55,9 @@ def _env_seed() -> int | None:
     raw = os.environ.get("BLO_SEED")
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"BLO_SEED must be an integer, got {raw!r}") from exc
+    if not raw.strip().isdecimal():
+        raise ConfigError(f"BLO_SEED must be an integer >= 0, got {raw!r}")
+    return int(raw)
 
 
 def _load_configs(path: str):
@@ -83,14 +82,7 @@ def _cmd_reproduce(args) -> int:
     seed = _env_seed()
     if seed is None:
         seed = args.seed
-    idx = {}
-    for flag, key in (("idx_train", "idx_train"),
-                      ("idx_train_labels", "idx_train_labels"),
-                      ("idx_val", "idx_val"),
-                      ("idx_val_labels", "idx_val_labels")):
-        value = getattr(args, flag)
-        if value is not None:
-            idx[key] = value
+    idx = {k: v for k, v in vars(args).items() if k.startswith("idx_") and v is not None}
     out = args.out if args.out is not None else os.path.join("results", args.study)
     return reproduce(args.study, out, seed=seed, idx=idx or None)
 
@@ -98,12 +90,11 @@ def _cmd_reproduce(args) -> int:
 def _cmd_check(args) -> int:
     configs = _load_configs(args.config)
     failed = 0
-    seen: set[tuple] = set()
+    seen = set()
     for cfg in configs:
-        key = tuple(sorted((k, str(v)) for k, v in cfg.problem.__dict__.items()))
-        if key in seen:
+        if cfg.problem in seen:
             continue
-        seen.add(key)
+        seen.add(cfg.problem)
         built = build_problem(cfg.problem)
         problem = built.problem
         x = gaussian_vector(problem.n, cfg.seed + 101)

@@ -6,18 +6,24 @@ expands into the cross product of all list-valued entries, so
 
     {"schedule": {"eta": [0.25, 1.0]}, "seed": [0, 1]}
 
-yields four runs.  Validation errors carry the JSON path of the
+yields four runs.  The run dataclasses are the schema: each JSON object
+takes its allowed keys, defaults, required keys and leaf types from the
+fields of its dataclass, and its semantic checks from that dataclass's
+``__post_init__``.  Validation errors carry the JSON path of the
 offending entry.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import json
+import typing
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .solvers import METHOD_NAMES, MethodSpec, ScheduleConfig, StopRule
+from .errors import ConfigError, FieldError
+from .solvers import MethodSpec, ScheduleConfig, StopRule
 
 _PROBLEM_FAMILIES = ("quadratic", "multimin", "hypercleaning")
 
@@ -26,7 +32,7 @@ _PROBLEM_FAMILIES = ("quadratic", "multimin", "hypercleaning")
 class ProblemSpec:
     """What to optimize.  Fields beyond ``family`` apply selectively:
 
-    quadratic:      n, spectrum ("identity" or [lmin, lmax]), z0, seed
+    quadratic:      n, spectrum ("identity" or (lmin, lmax)), z0, seed
     multimin:       (no parameters)
     hypercleaning:  classes, dim, n_train, n_val, rho, separation, reg_c,
                     seed, or idx_* paths to load IDX data instead
@@ -49,177 +55,133 @@ class ProblemSpec:
     idx_val: str | None = None
     idx_val_labels: str | None = None
 
+    def __post_init__(self):
+        if self.family not in _PROBLEM_FAMILIES:
+            raise FieldError("family", f"unknown problem family {self.family!r} "
+                                       f"(expected one of {_PROBLEM_FAMILIES})")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.spectrum, str) and not 0.0 < self.spectrum[0] <= self.spectrum[1]:
+            raise ValueError(f"spectrum bounds must satisfy 0 < lmin <= lmax, "
+                             f"got {list(self.spectrum)}")
+        if not isinstance(self.z0, str) and len(self.z0) != self.n:
+            raise ValueError(f"z0 has {len(self.z0)} entries, expected n = {self.n}")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
+        if self.family != "hypercleaning":
+            return
+        if self.reg_c <= 0.0:
+            raise ValueError(f"reg_c must be positive, got {self.reg_c}")
+        idx = (self.idx_train, self.idx_train_labels, self.idx_val, self.idx_val_labels)
+        if idx.count(None) in (1, 2, 3):
+            raise ValueError("hypercleaning with IDX data needs all four paths: "
+                             "idx_train, idx_train_labels, idx_val, idx_val_labels")
+        if self.idx_train is not None:
+            return
+        if self.classes < 2 or self.dim < 1 or self.n_train < 1 or self.n_val < 1:
+            raise ValueError("synthetic hypercleaning needs classes >= 2 and dim, "
+                             "n_train, n_val >= 1")
+        if (self.n_train + self.n_val) % self.classes:
+            raise ValueError(f"n_train + n_val = {self.n_train + self.n_val} must be "
+                             f"divisible by classes = {self.classes}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemSpec
     method: MethodSpec
-    schedule: ScheduleConfig
-    stop: StopRule
+    schedule: ScheduleConfig = ScheduleConfig()
+    stop: StopRule = StopRule(max_iters=1000, d_norm_tol=1e-6)
     seed: int = 0
     trace_every: int = 1
     name: str | None = None
 
-
-def _type_name(value) -> str:
-    return type(value).__name__
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.trace_every < 1:
+            raise FieldError("trace_every", f"must be >= 1, got {self.trace_every}")
 
 
 def _require_dict(value, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {_type_name(value)}")
+        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
     return value
-
-
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: unknown key (allowed: {sorted(allowed)})")
 
 
 def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _num(obj: dict, key: str, path: str, default, *, optional=False):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if val is None and optional:
-        return None
-    if not _is_number(val):
-        raise ConfigError(f"{path}.{key}: expected a number, got {_type_name(val)}")
-    return val
+def _spectrum(val, path: str):
+    if val == "identity":
+        return val
+    if isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)):
+        return (float(val[0]), float(val[1]))
+    raise ConfigError(f"{path}: expected \"identity\" or [lmin, lmax]")
 
 
-def _int(obj: dict, key: str, path: str, default, *, optional=False):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if val is None and optional:
-        return None
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {_type_name(val)}")
-    return val
+def _z0(val, path: str):
+    if val in ("ones", "random"):
+        return val
+    if isinstance(val, list) and all(map(_is_number, val)):
+        return tuple(float(c) for c in val)
+    raise ConfigError(f"{path}: expected \"ones\", \"random\", or a vector")
 
 
-def _str(obj: dict, key: str, path: str, default, *, optional=False):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if val is None and optional:
-        return None
-    if not isinstance(val, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {_type_name(val)}")
-    return val
+# Fields whose JSON value is a structure with its own reader; their list
+# values are never sweep axes.
+_STRUCTURAL = {"spectrum": _spectrum, "z0": _z0}
+
+_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
+# Resolving the string annotations is slow, so each class is resolved once.
+_field_types = functools.cache(typing.get_type_hints)
 
 
-_PROBLEM_KEYS = {"family", "n", "spectrum", "z0", "seed", "classes", "dim",
-                 "n_train", "n_val", "rho", "separation", "reg_c",
-                 "idx_train", "idx_train_labels", "idx_val", "idx_val_labels"}
-_METHOD_KEYS = {"name", "T", "eps", "M", "mu", "lam"}
-_SCHEDULE_KEYS = {"mode", "alpha", "beta", "eta", "mu_bar", "p", "lam", "eta_rule"}
-_STOP_KEYS = {"max_iters", "max_seconds", "d_norm_tol", "kkt_tol"}
-_RUN_KEYS = {"problem", "method", "schedule", "stop", "seed", "trace_every", "name"}
+def _leaf(val, kind, path: str):
+    """Read one value as ``kind``: a run dataclass, int, float, str or X | None."""
+    if dataclasses.is_dataclass(kind):
+        return _parse_obj(kind, val, path)
+    if type(None) in typing.get_args(kind):
+        if val is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is float and _is_number(val):
+        return float(val)
+    if kind is not float and isinstance(val, kind) and not isinstance(val, bool):
+        return val
+    raise ConfigError(f"{path}: expected {_EXPECTED[kind]}, got {type(val).__name__}")
 
 
-def _parse_problem(obj: dict, path: str) -> ProblemSpec:
-    _check_keys(obj, _PROBLEM_KEYS, path)
-    family = _str(obj, "family", path, None)
-    if family is None:
-        raise ConfigError(f"{path}.family: required")
-    if family not in _PROBLEM_FAMILIES:
-        raise ConfigError(f"{path}.family: unknown problem family {family!r} "
-                          f"(expected one of {_PROBLEM_FAMILIES})")
-    spectrum = obj.get("spectrum", "identity")
-    if isinstance(spectrum, list):
-        if len(spectrum) != 2 or not all(_is_number(s) for s in spectrum):
-            raise ConfigError(f"{path}.spectrum: expected \"identity\" or [lmin, lmax]")
-        spectrum = (float(spectrum[0]), float(spectrum[1]))
-    elif spectrum != "identity":
-        raise ConfigError(f"{path}.spectrum: expected \"identity\" or [lmin, lmax]")
-    z0 = obj.get("z0", "ones")
-    if isinstance(z0, list) and all(_is_number(c) for c in z0):
-        z0 = tuple(float(c) for c in z0)
-    elif z0 not in ("ones", "random"):
-        raise ConfigError(f"{path}.z0: expected \"ones\", \"random\", or a vector")
-    return ProblemSpec(
-        family=family,
-        n=_int(obj, "n", path, 100),
-        spectrum=spectrum,
-        z0=z0,
-        seed=_int(obj, "seed", path, 0),
-        classes=_int(obj, "classes", path, 10),
-        dim=_int(obj, "dim", path, 20),
-        n_train=_int(obj, "n_train", path, 1000),
-        n_val=_int(obj, "n_val", path, 500),
-        rho=float(_num(obj, "rho", path, 0.3)),
-        separation=float(_num(obj, "separation", path, 3.0)),
-        reg_c=float(_num(obj, "reg_c", path, 1e-3)),
-        idx_train=_str(obj, "idx_train", path, None, optional=True),
-        idx_train_labels=_str(obj, "idx_train_labels", path, None, optional=True),
-        idx_val=_str(obj, "idx_val", path, None, optional=True),
-        idx_val_labels=_str(obj, "idx_val_labels", path, None, optional=True),
-    )
-
-
-def _parse_method(obj: dict, path: str) -> MethodSpec:
-    _check_keys(obj, _METHOD_KEYS, path)
-    name = _str(obj, "name", path, None)
-    if name is None:
-        raise ConfigError(f"{path}.name: required")
-    if name not in METHOD_NAMES:
-        raise ConfigError(f"{path}.name: unknown method {name!r} "
-                          f"(expected one of {METHOD_NAMES})")
+def _parse_obj(cls, obj, path: str):
+    """Build the dataclass ``cls`` from the JSON object ``obj`` at ``path``,
+    taking allowed keys, defaults, required keys and leaf types from its
+    fields.  A ``ValueError`` from its ``__post_init__`` becomes a
+    ``ConfigError`` at ``path`` (at the field, for a ``FieldError``)."""
+    obj = _require_dict(obj, path)
+    fields, kinds = dataclasses.fields(cls), _field_types(cls)
+    allowed = sorted(kinds)
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key (allowed: {allowed})")
+    kwargs = {}
+    for f in fields:
+        at = f"{path}.{f.name}"
+        if f.name not in obj:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{at}: required")
+        elif f.name in _STRUCTURAL:
+            kwargs[f.name] = _STRUCTURAL[f.name](obj[f.name], at)
+        else:
+            kwargs[f.name] = _leaf(obj[f.name], kinds[f.name], at)
     try:
-        return MethodSpec(
-            name=name,
-            T=_int(obj, "T", path, 100),
-            eps=float(_num(obj, "eps", path, 1e-8)),
-            M=_int(obj, "M", path, 100),
-            mu=float(_num(obj, "mu", path, 0.5)),
-            lam=float(_num(obj, "lam", path, 1.0)),
-        )
+        return cls(**kwargs)
+    except FieldError as exc:
+        raise ConfigError(f"{path}.{exc.field}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_schedule(obj: dict, path: str) -> ScheduleConfig:
-    _check_keys(obj, _SCHEDULE_KEYS, path)
-    mode = _str(obj, "mode", path, "strongly-convex")
-    alpha = _num(obj, "alpha", path, None, optional=True)
-    beta = _num(obj, "beta", path, None, optional=True)
-    eta = _num(obj, "eta", path, None, optional=True)
-    try:
-        return ScheduleConfig(
-            mode=mode,
-            alpha=None if alpha is None else float(alpha),
-            beta=None if beta is None else float(beta),
-            eta=None if eta is None else float(eta),
-            mu_bar=float(_num(obj, "mu_bar", path, 0.5)),
-            p=float(_num(obj, "p", path, 1.0 / 12.0)),
-            lam=float(_num(obj, "lam", path, 1.0)),
-            eta_rule=_str(obj, "eta_rule", path, "fixed"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_stop(obj: dict, path: str) -> StopRule:
-    _check_keys(obj, _STOP_KEYS, path)
-    try:
-        return StopRule(
-            max_iters=_int(obj, "max_iters", path, None, optional=True),
-            max_seconds=_num(obj, "max_seconds", path, None, optional=True),
-            d_norm_tol=_num(obj, "d_norm_tol", path, None, optional=True),
-            kkt_tol=_num(obj, "kkt_tol", path, None, optional=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-# Keys whose list values are structural, never sweep axes.
-_NO_SWEEP = {"spectrum", "z0"}
 
 
 def _sweep_axes(obj: dict, prefix: str) -> list[tuple[str, list]]:
@@ -229,7 +191,7 @@ def _sweep_axes(obj: dict, prefix: str) -> list[tuple[str, list]]:
         path = f"{prefix}.{key}" if prefix else key
         if isinstance(val, dict):
             axes.extend(_sweep_axes(val, path))
-        elif isinstance(val, list) and key not in _NO_SWEEP:
+        elif isinstance(val, list) and key not in _STRUCTURAL:
             if not val:
                 raise ConfigError(f"{path}: sweep list must be non-empty")
             axes.append((path, val))
@@ -256,34 +218,6 @@ def _expand_sweeps(run: dict, path: str) -> list[dict]:
     return expanded
 
 
-def _parse_run(obj: dict, path: str) -> ExperimentConfig:
-    _check_keys(obj, _RUN_KEYS, path)
-    if "problem" not in obj:
-        raise ConfigError(f"{path}.problem: required")
-    if "method" not in obj:
-        raise ConfigError(f"{path}.method: required")
-    problem = _parse_problem(_require_dict(obj["problem"], f"{path}.problem"),
-                             f"{path}.problem")
-    method = _parse_method(_require_dict(obj["method"], f"{path}.method"),
-                           f"{path}.method")
-    schedule = _parse_schedule(_require_dict(obj.get("schedule", {}), f"{path}.schedule"),
-                               f"{path}.schedule")
-    stop_obj = obj.get("stop", {"max_iters": 1000, "d_norm_tol": 1e-6})
-    stop = _parse_stop(_require_dict(stop_obj, f"{path}.stop"), f"{path}.stop")
-    trace_every = _int(obj, "trace_every", path, 1)
-    if trace_every < 1:
-        raise ConfigError(f"{path}.trace_every: must be >= 1, got {trace_every}")
-    return ExperimentConfig(
-        problem=problem,
-        method=method,
-        schedule=schedule,
-        stop=stop,
-        seed=_int(obj, "seed", path, 0),
-        trace_every=trace_every,
-        name=_str(obj, "name", path, None, optional=True),
-    )
-
-
 def parse_config(text: str) -> list[ExperimentConfig]:
     """Parse a JSON config document into a flat list of runs."""
     try:
@@ -298,16 +232,15 @@ def parse_config(text: str) -> list[ExperimentConfig]:
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list):
-        raise ConfigError(f"expected an object or a list of runs, got {_type_name(doc)}")
+        raise ConfigError(f"expected an object or a list of runs, got {type(doc).__name__}")
     configs = []
     for i, raw in enumerate(doc):
         path = f"runs[{i}]"
-        raw = _require_dict(raw, path)
-        variants = _expand_sweeps(raw, path)
+        variants = _expand_sweeps(_require_dict(raw, path), path)
         for j, variant in enumerate(variants):
-            cfg = _parse_run(variant, path)
+            cfg = _parse_obj(ExperimentConfig, variant, path)
             if cfg.name is not None and len(variants) > 1:
-                cfg = ExperimentConfig(**{**cfg.__dict__, "name": f"{cfg.name}-{j}"})
+                cfg = dataclasses.replace(cfg, name=f"{cfg.name}-{j}")
             configs.append(cfg)
     if not configs:
         raise ConfigError("config contains no runs")
@@ -315,20 +248,10 @@ def parse_config(text: str) -> list[ExperimentConfig]:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-serializable echo of a parsed run (for summary files)."""
-    problem = {k: v for k, v in cfg.problem.__dict__.items() if v is not None}
-    if isinstance(problem.get("spectrum"), tuple):
-        problem["spectrum"] = list(problem["spectrum"])
-    if isinstance(problem.get("z0"), tuple):
-        problem["z0"] = list(problem["z0"])
-    out = {
-        "problem": problem,
-        "method": dict(cfg.method.__dict__),
-        "schedule": dict(cfg.schedule.__dict__),
-        "stop": {k: v for k, v in cfg.stop.__dict__.items() if v is not None},
-        "seed": cfg.seed,
-        "trace_every": cfg.trace_every,
-    }
-    if cfg.name is not None:
-        out["name"] = cfg.name
+    """JSON echo of a parsed run (for summary files), without unset optionals."""
+    out = dataclasses.asdict(cfg)
+    for key in ("problem", "stop"):
+        out[key] = {k: v for k, v in out[key].items() if v is not None}
+    if cfg.name is None:
+        del out["name"]
     return out

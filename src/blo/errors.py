@@ -23,3 +23,11 @@ class MissingOracleError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration failed validation."""
+
+
+class FieldError(ValueError):
+    """A config dataclass rejected the value of one field, named ``field``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field

@@ -44,33 +44,22 @@ def build_problem(spec: ProblemSpec) -> BuiltProblem:
     if spec.family == "multimin":
         mm = make_multimin()
         return BuiltProblem(mm.problem, mm.oracle, mm)
-    if spec.family == "hypercleaning":
-        idx_paths = (spec.idx_train, spec.idx_train_labels, spec.idx_val,
-                     spec.idx_val_labels)
-        if any(p is not None for p in idx_paths):
-            if any(p is None for p in idx_paths):
-                raise ConfigError(
-                    "hypercleaning with IDX data needs all four paths: "
-                    "idx_train, idx_train_labels, idx_val, idx_val_labels")
-            train = load_idx(spec.idx_train, spec.idx_train_labels)
-            val = load_idx(spec.idx_val, spec.idx_val_labels)
-            if train.n_classes != val.n_classes:
-                classes = max(train.n_classes, val.n_classes)
-                train = replace(train, n_classes=classes)
-                val = replace(val, n_classes=classes)
-        else:
-            total = spec.n_train + spec.n_val
-            if total % spec.classes != 0:
-                raise ConfigError(
-                    f"n_train + n_val = {total} must be divisible by "
-                    f"classes = {spec.classes}")
-            pool = synth_blobs(spec.classes, spec.dim, total // spec.classes,
-                               spec.separation, spec.seed)
-            train, val = split_dataset(pool, spec.n_train, spec.seed + 1)
-            train = corrupt_labels(train, spec.rho, spec.seed + 2)
-        hc = hypercleaning_problem(train, val, c=spec.reg_c)
-        return BuiltProblem(hc.problem, None, hc)
-    raise ConfigError(f"unknown problem family {spec.family!r}")
+    # hypercleaning; the spec has checked its sizes and IDX paths
+    if spec.idx_train is not None:
+        train = load_idx(spec.idx_train, spec.idx_train_labels)
+        val = load_idx(spec.idx_val, spec.idx_val_labels)
+        if train.n_classes != val.n_classes:
+            classes = max(train.n_classes, val.n_classes)
+            train = replace(train, n_classes=classes)
+            val = replace(val, n_classes=classes)
+    else:
+        pool = synth_blobs(spec.classes, spec.dim,
+                           (spec.n_train + spec.n_val) // spec.classes,
+                           spec.separation, spec.seed)
+        train, val = split_dataset(pool, spec.n_train, spec.seed + 1)
+        train = corrupt_labels(train, spec.rho, spec.seed + 2)
+    hc = hypercleaning_problem(train, val, c=spec.reg_c)
+    return BuiltProblem(hc.problem, None, hc)
 
 
 def _summary_payload(summary: RunSummary) -> dict:
@@ -188,9 +177,8 @@ class Study:
     takes_idx: bool = False
 
 
-def _run_study(name: str, study: Study, out: Path, seed: int,
-               idx: dict[str, str] | None) -> int:
-    configs = study.configs(seed, idx)
+def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out: Path,
+               seed: int) -> int:
     _write_json(out / "config.json", {"runs": [config_to_dict(c) for c in configs]})
     runs: dict[str, StudyRun] = {}
     rows: list[str] = []
@@ -547,6 +535,11 @@ def reproduce(study: str, out_dir, seed: int | None = None,
         raise ConfigError(f"unknown study {study!r} (expected one of {STUDIES})")
     if idx and not spec.takes_idx:
         raise ConfigError("IDX data paths only apply to the hypercleaning study")
+    seed = spec.seed if seed is None else seed
+    try:
+        configs = spec.configs(seed, idx)
+    except ValueError as exc:  # the seed or IDX paths the specs reject
+        raise ConfigError(str(exc)) from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _run_study(study, spec, out, spec.seed if seed is None else seed, idx)
+    return _run_study(study, spec, configs, out, seed)

@@ -15,7 +15,7 @@ is the finite-difference safety net for hand-derived formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,15 +50,6 @@ class BilevelProblem:
         return self.hvp_yy_ul is not None and self.jvp_xy_ul is not None
 
 
-@dataclass(frozen=True)
-class AggregatedProblem(BilevelProblem):
-    """A bilevel problem whose lower level is psi = mu*lam*F + (1-mu)*f."""
-
-    base: BilevelProblem = field(kw_only=True)
-    mu: float = field(kw_only=True)
-    lam: float = field(kw_only=True)
-
-
 def psi_weights(base: BilevelProblem, mu: float, lam: float) -> tuple[float, float]:
     """Validated weights (w_ul, w_ll) = (mu*lam, 1 - mu) of psi = w_ul*F + w_ll*f;
     ``mu > 0`` requires the base problem's upper-level curvature products."""
@@ -84,21 +75,12 @@ def aggregate(base: BilevelProblem, mu: float, lam: float) -> BilevelProblem:
     w_ul, w_ll = psi_weights(base, mu, lam)
     if mu == 0.0:
         return base
-    return AggregatedProblem(
-        n=base.n,
-        m=base.m,
-        ul_value=base.ul_value,
+    return replace(
+        base,
         ll_value=lambda x, y: w_ul * base.ul_value(x, y) + w_ll * base.ll_value(x, y),
-        grad_x_ul=base.grad_x_ul,
-        grad_y_ul=base.grad_y_ul,
         grad_y_ll=lambda x, y: w_ul * base.grad_y_ul(x, y) + w_ll * base.grad_y_ll(x, y),
         hvp_yy_ll=lambda x, y, u: w_ul * base.hvp_yy_ul(x, y, u) + w_ll * base.hvp_yy_ll(x, y, u),
         jvp_xy_ll=lambda x, y, u: w_ul * base.jvp_xy_ul(x, y, u) + w_ll * base.jvp_xy_ll(x, y, u),
-        hvp_yy_ul=base.hvp_yy_ul,
-        jvp_xy_ul=base.jvp_xy_ul,
-        base=base,
-        mu=mu,
-        lam=lam,
     )
 
 

@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, NonPositiveCurvatureError, SingularHessianError
+from .errors import (CapabilityError, DivergenceError, FieldError,
+                     NonPositiveCurvatureError, SingularHessianError)
 from .linalg import Array, LinearOperator, cg_solve, neumann_apply, power_iteration_lmax
 from .metrics import AnalyticOracle, TraceRecord, kkt_residual, kkt_residual_aggregated, lyapunov_value
 from .problem import BilevelProblem, Counts, aggregate, counting_problem, psi_weights
@@ -321,7 +322,16 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
-            raise ValueError(f"unknown method {self.name!r} (expected one of {METHOD_NAMES})")
+            raise FieldError("name", f"unknown method {self.name!r} "
+                                     f"(expected one of {METHOD_NAMES})")
+        if self.name in ("rhg", "bda") and self.T < 1:
+            raise ValueError(f"T must be >= 1, got {self.T}")
+        if self.M < 0:
+            raise ValueError(f"M must be >= 0, got {self.M}")
+        if not 0.0 <= self.mu <= 0.5:
+            raise ValueError(f"mu must lie in [0, 1/2], got {self.mu}")
+        if self.lam <= 0.0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -487,7 +497,7 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
             except DivergenceError as exc:
                 status, error, error_at = "diverged", str(exc), k
                 break
-            except NonPositiveCurvatureError as exc:
+            except (NonPositiveCurvatureError, CapabilityError) as exc:
                 status, error, error_at = "error", str(exc), k
                 break
             seconds += time.perf_counter() - t0

@@ -77,6 +77,57 @@ class TestRunCommand:
         assert "BLO_SEED must be an integer" in capsys.readouterr().err
 
 
+# Each value has the right JSON type but fails its dataclass's own check.
+BAD_VALUES = [
+    ({"family": "quadratic", "n": 0}, {"name": "bagdc"},
+     "runs[0].problem: n must be >= 1"),
+    ({"family": "quadratic", "n": 2, "z0": [1, 2, 3]}, {"name": "bagdc"},
+     "runs[0].problem: z0 has 3 entries, expected n = 2"),
+    ({"family": "quadratic", "spectrum": [2, 1]}, {"name": "bagdc"},
+     "runs[0].problem: spectrum bounds must satisfy 0 < lmin <= lmax"),
+    ({"family": "hypercleaning", "rho": 2.0}, {"name": "bagdc"},
+     "runs[0].problem: rho must lie in [0, 1]"),
+    ({"family": "quadratic"}, {"name": "bda", "mu": 0.7},
+     "runs[0].method: mu must lie in [0, 1/2]"),
+    ({"family": "quadratic"}, {"name": "rhg", "T": 0},
+     "runs[0].method: T must be >= 1"),
+    ({"family": "quadratic"}, {"name": "implicit-ns", "M": -1},
+     "runs[0].method: M must be >= 0"),
+    ({"family": "hypercleaning", "classes": 3, "n_train": 10, "n_val": 1}, {"name": "bagdc"},
+     "runs[0].problem: n_train + n_val = 11 must be divisible by classes = 3"),
+    ({"family": "hypercleaning", "idx_train": "a.idx"}, {"name": "bagdc"},
+     "runs[0].problem: hypercleaning with IDX data needs all four paths"),
+]
+
+
+class TestParseTimeChecks:
+    @pytest.mark.parametrize("problem, method, message", BAD_VALUES,
+                             ids=["n", "z0", "spectrum", "rho", "mu", "T", "M",
+                                  "divisibility", "partial-idx"])
+    def test_rejected_before_any_run(self, tmp_path, capsys, problem, method, message):
+        cfg = write_config(tmp_path, {"problem": problem, "method": method})
+        out = tmp_path / "r"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # hypercleaning has no upper-level curvature, so both runs fail at k = 0
+    @pytest.mark.parametrize("method, schedule", [
+        ({"name": "bda"}, {}),
+        ({"name": "bagdc"}, {"mode": "merely-convex"}),
+    ], ids=["bda", "bagdc-merely-convex"])
+    def test_capability_error_stays_in_its_run(self, tmp_path, method, schedule):
+        doc = {"problem": {"family": "hypercleaning", "classes": 3, "dim": 4,
+                           "n_train": 21, "n_val": 9},
+               "method": method, "schedule": schedule, "stop": {"max_iters": 5}}
+        out = tmp_path / "r"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        payload = json.loads((out / "run-000" / "summary.json").read_text())
+        assert payload["status"] == "error"
+        assert payload["at_iteration"] == 0
+        assert "needs hvp_yy_ul and jvp_xy_ul" in payload["error"]
+
+
 class TestCheckCommand:
     def test_reports_each_problem_once(self, tmp_path, capsys):
         doc = {"runs": [dict(QUAD_RUN, name="a"), dict(QUAD_RUN, name="b"),
@@ -116,6 +167,16 @@ class TestReproduceCommand:
     def test_unknown_study_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "warmup"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["counterexample", "--seed", "-1"], "seed must be >= 0"),
+        (["hypercleaning", "--idx-train", "x"], "needs all four paths"),
+    ], ids=["seed", "idx"])
+    def test_rejected_study_inputs_exit_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "s"
+        assert main(["reproduce", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_idx_flags_rejected_outside_hypercleaning(self, tmp_path, capsys):
         rc = main(["reproduce", "counterexample", "--out", str(tmp_path / "s"),

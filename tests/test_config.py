@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import typing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blo.config import (ExperimentConfig, ProblemSpec, config_to_dict,
                         parse_config)
 from blo.errors import ConfigError
+from blo.experiments import build_problem
+from blo.solvers import (METHOD_NAMES, MethodSpec, ScheduleConfig, StopRule,
+                         run_solver)
 
 MINIMAL = json.dumps({
     "problem": {"family": "quadratic", "n": 10},
@@ -257,3 +263,67 @@ class TestProblemSpecFields:
         assert isinstance(cfg, ExperimentConfig)
         with pytest.raises(Exception):
             cfg.seed = 5
+
+
+# Every run status the README documents for summary.json.
+DOCUMENTED_STATUSES = ("converged", "max-iters", "time-limit", "diverged",
+                       "singular-hessian", "error")
+
+# Small integers keep every generated problem desk-sized; the fractions
+# reach the open intervals of mu, mu_bar and p.
+_SMALL_INT = st.integers(-1, 3)
+_SMALL_NUM = st.sampled_from([-1, 0, 0.05, 0.5, 1, 3])
+_BY_KEY = {
+    "family": st.sampled_from(["quadratic", "multimin", "hypercleaning", "cubic"]),
+    "name": st.sampled_from(METHOD_NAMES + ("newton",)),
+    "mode": st.sampled_from(["strongly-convex", "merely-convex", "flat"]),
+    "eta_rule": st.sampled_from(["fixed", "adaptive", "fast"]),
+    "spectrum": st.one_of(st.just("identity"), st.lists(_SMALL_INT, min_size=2, max_size=2)),
+    "z0": st.one_of(st.sampled_from(["ones", "random"]),
+                    st.lists(_SMALL_INT, min_size=1, max_size=3)),
+}
+
+
+def _value(key, kind):
+    if key in _BY_KEY:
+        return _BY_KEY[key]
+    base = (typing.get_args(kind) or (kind,))[0]
+    if base is str:  # the IDX paths: null, never a file to read
+        return st.none()
+    leaf = _SMALL_NUM if base is float else _SMALL_INT
+    return leaf if base is kind else st.one_of(st.none(), leaf)
+
+
+def _object(cls, **nested):
+    """A JSON object over the keys of ``cls``: required keys always, the
+    others sometimes."""
+    kinds = typing.get_type_hints(cls)
+    required, optional = {}, {}
+    for f in dataclasses.fields(cls):
+        value = nested[f.name] if f.name in nested else _value(f.name, kinds[f.name])
+        (required if f.default is dataclasses.MISSING else optional)[f.name] = value
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+RUN_DOCS = _object(ExperimentConfig, problem=_object(ProblemSpec),
+                   method=_object(MethodSpec), schedule=_object(ScheduleConfig),
+                   stop=_object(StopRule))
+
+
+class TestParseOrRun:
+    """A document either fails to parse with a ConfigError, or every run it
+    gives builds and steps once to a documented status."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=RUN_DOCS)
+    def test_rejected_or_runs(self, doc):
+        try:
+            configs = parse_config(json.dumps(doc))
+        except ConfigError:
+            return
+        for cfg in configs:
+            built = build_problem(cfg.problem)
+            _, summary = run_solver(built.problem, cfg.method, cfg.schedule,
+                                    StopRule(max_iters=1), oracle=built.oracle,
+                                    seed=cfg.seed, trace_every=cfg.trace_every)
+            assert summary.status in DOCUMENTED_STATUSES

@@ -159,15 +159,12 @@ class TestBuildProblem:
         assert int((~built.aux.train.clean_mask).sum()) == 6
 
     def test_hypercleaning_divisibility(self):
-        spec = ProblemSpec(family="hypercleaning", classes=10, n_train=1001,
-                           n_val=500)
-        with pytest.raises(ConfigError, match="divisible"):
-            build_problem(spec)
+        with pytest.raises(ValueError, match="divisible"):
+            ProblemSpec(family="hypercleaning", classes=10, n_train=1001, n_val=500)
 
     def test_partial_idx_paths_rejected(self):
-        spec = ProblemSpec(family="hypercleaning", idx_train="x")
-        with pytest.raises(ConfigError, match="all four paths"):
-            build_problem(spec)
+        with pytest.raises(ValueError, match="all four paths"):
+            ProblemSpec(family="hypercleaning", idx_train="x")
 
     def test_idx_loading_reconciles_classes(self, tmp_path):
         def images(path, n):
