@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .config import ConfigError, ExperimentConfig, ProblemSpec, config_to_dict
 from .dataio import load_idx
 from .metrics import AnalyticOracle, TRACE_HEADER, TraceRecord, hypergrad_error
-from .problem import BilevelProblem
+from .problem import BilevelProblem, Counts
 from .solvers import (MethodSpec, RunSummary, ScheduleConfig, SolverState,
                       StopRule, run_solver)
 from . import svgplot
@@ -62,7 +62,7 @@ def build_problem(spec: ProblemSpec) -> BuiltProblem:
     return BuiltProblem(hc.problem, None, hc)
 
 
-def _summary_payload(summary: RunSummary) -> dict:
+def _summary_payload(summary: RunSummary, cfg: ExperimentConfig | None = None) -> dict:
     payload = {
         "status": summary.status,
         "iterations": summary.iterations,
@@ -75,6 +75,9 @@ def _summary_payload(summary: RunSummary) -> dict:
     if summary.error is not None:
         payload["error"] = summary.error
         payload["at_iteration"] = summary.error_at
+    if cfg is not None:  # a run's own summary.json echoes its config
+        from . import __version__
+        payload.update(config=config_to_dict(cfg), version=__version__)
     return payload
 
 
@@ -99,19 +102,24 @@ def _run_to_dir(built: BuiltProblem, cfg: ExperimentConfig, run_dir: Path,
             built.problem, cfg.method, cfg.schedule, cfg.stop,
             oracle=built.oracle, sink=sink, seed=cfg.seed,
             trace_every=cfg.trace_every, probe=probe)
-    payload = _summary_payload(summary)
-    payload["config"] = config_to_dict(cfg)
-    from . import __version__
-    payload["version"] = __version__
-    _write_json(run_dir / "summary.json", payload)
+    _write_json(run_dir / "summary.json", _summary_payload(summary, cfg))
     return state, summary, records
 
 
 def execute_run(cfg: ExperimentConfig, run_dir: Path) -> RunSummary:
-    """Build the problem a config names and run it into ``run_dir``."""
-    built = build_problem(cfg.problem)
-    _, summary, _ = _run_to_dir(built, cfg, Path(run_dir))
-    return summary
+    """Build the problem a config names and run it into ``run_dir``.  A
+    build that fails (say, on a missing IDX file) is that run's ``error``."""
+    run_dir = Path(run_dir)
+    try:
+        built = build_problem(cfg.problem)
+    except Exception as exc:
+        summary = RunSummary("error", 0, 0.0, Counts(), {}, {},
+                             f"{type(exc).__name__}: {exc}", 0)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "trace.csv").write_text(TRACE_HEADER + "\n", encoding="utf-8")
+        _write_json(run_dir / "summary.json", _summary_payload(summary, cfg))
+        return summary
+    return _run_to_dir(built, cfg, run_dir)[1]
 
 
 def run_experiments(configs: Sequence[ExperimentConfig], out_dir,

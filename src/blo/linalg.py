@@ -3,8 +3,9 @@ spectral estimation, and seeded Gaussian draws.
 
 Vectors are plain 1-D float64 numpy arrays.  Operators carry only a
 dimension and a matvec, so the same code path serves explicit test
-matrices and Hessian-vector oracles alike.  Every function here is pure;
-operators must be safe to call from multiple threads.
+matrices and Hessian-vector oracles alike.  Every function here is pure
+and calls its operator only from the calling thread, so operators need
+not be thread-safe: each run builds its own problem and uses one thread.
 """
 
 from __future__ import annotations

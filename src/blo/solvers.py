@@ -458,7 +458,7 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
     one).  Only the step itself is timed; metric evaluation, the sink,
     and the probe run off the clock and off the oracle counters.  Step
     errors are recorded in the summary (status ``diverged`` /
-    ``singular-hessian`` / ``error``) rather than raised.
+    ``singular-hessian``, or ``error`` for any other) rather than raised.
 
     ``probe(k, state_before, state_after, d)`` is a hook for
     study-specific measurements.
@@ -499,6 +499,9 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
                 break
             except (NonPositiveCurvatureError, CapabilityError) as exc:
                 status, error, error_at = "error", str(exc), k
+                break
+            except Exception as exc:  # e.g. a failing callback: the run ends, not the batch
+                status, error, error_at = "error", f"{type(exc).__name__}: {exc}", k
                 break
             seconds += time.perf_counter() - t0
             state.elapsed = seconds

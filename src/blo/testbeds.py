@@ -245,11 +245,6 @@ def _sigmoid(z: Array) -> Array:
     return out
 
 
-def _dsigmoid(z: Array) -> Array:
-    s = _sigmoid(z)
-    return s * (1.0 - s)
-
-
 def _augment(features: Array) -> Array:
     return np.hstack([features, np.ones((features.shape[0], 1))])
 
@@ -275,6 +270,23 @@ def classifier_accuracy(ds: Dataset, w: Array) -> float:
     return float(np.mean(preds == ds.labels))
 
 
+def _content_cache(fn, size: int):
+    """``fn(a)``, read-only, for the last ``size`` contents of ``a`` (FIFO)."""
+    cache: dict[bytes, tuple[Array, ...]] = {}
+
+    def cached(a):
+        a = np.asarray(a, dtype=float)
+        key = a.tobytes()
+        if key not in cache:
+            if len(cache) == size:
+                del cache[next(iter(cache))]
+            cache[key] = fn(a)
+            for arr in cache[key]:
+                arr.flags.writeable = False
+        return cache[key]
+    return cached
+
+
 @dataclass(frozen=True)
 class HyperCleaningProblem:
     train: Dataset
@@ -294,6 +306,10 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
     Upper level F(x, w) = mean validation cross-entropy, independent of x.
     The ridge makes f strongly convex in w, so the single-level residual
     is well posed; upper-level curvature products are not provided.
+
+    The callbacks share the train softmax of the last two w (a ``bagdc``
+    step asks at y, y+, y) and sigmoid(x) of the last x: call a problem
+    from one thread at a time.
     """
     if val.n_classes != train.n_classes or val.dim != train.dim:
         raise ValueError("train/val disagree on feature dim or class count")
@@ -308,43 +324,45 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
     n_val = val.n
     n_cls = train.n_classes
     p = train.dim + 1
-    rows_tr = np.arange(n_tr)
-    rows_val = np.arange(n_val)
+    onehot_tr = np.eye(n_cls, dtype=bool)[y_tr]
+    onehot_val = np.eye(n_cls, dtype=bool)[y_val]
 
     def unpack(w):
         return np.asarray(w, dtype=float).reshape(n_cls, p)
 
+    # (softmax, softmax - onehot) of the train logits; (sigmoid, sigmoid')
+    train_softmax = _content_cache(
+        lambda w: (pm := _softmax(a_tr @ unpack(w).T), pm - onehot_tr), 2)
+    sample_weights = _content_cache(lambda x: (s := _sigmoid(x), s * (1.0 - s)), 1)
+
     def ll_value(x, w):
         ce = _ce_losses(unpack(w), a_tr, y_tr)
-        return float(_sigmoid(x) @ ce / n_tr + 0.5 * c * (w @ w))
+        return float(sample_weights(x)[0] @ ce / n_tr + 0.5 * c * (w @ w))
 
     def ul_value(x, w):
         return float(np.mean(_ce_losses(unpack(w), a_val, y_val)))
 
     def grad_y_ll(x, w):
-        r = _softmax(a_tr @ unpack(w).T)
-        r[rows_tr, y_tr] -= 1.0
-        g = (r * _sigmoid(x)[:, None]).T @ a_tr / n_tr
+        r = train_softmax(w)[1]
+        g = (r * sample_weights(x)[0][:, None]).T @ a_tr / n_tr
         return g.ravel() + c * w
 
     def grad_y_ul(x, w):
-        r = _softmax(a_val @ unpack(w).T)
-        r[rows_val, y_val] -= 1.0
+        r = _softmax(a_val @ unpack(w).T) - onehot_val
         return (r.T @ a_val / n_val).ravel()
 
     def hvp_yy_ll(x, w, u):
-        pm = _softmax(a_tr @ unpack(w).T)
+        pm = train_softmax(w)[0]
         zu = a_tr @ unpack(u).T
         t = pm * zu
         t -= pm * t.sum(axis=1, keepdims=True)
-        t *= _sigmoid(x)[:, None]
+        t *= sample_weights(x)[0][:, None]
         return (t.T @ a_tr / n_tr).ravel() + c * np.asarray(u, dtype=float)
 
     def jvp_xy_ll(x, w, u):
-        r = _softmax(a_tr @ unpack(w).T)
-        r[rows_tr, y_tr] -= 1.0
+        r = train_softmax(w)[1]
         zu = a_tr @ unpack(u).T
-        return _dsigmoid(np.asarray(x, dtype=float)) * np.sum(r * zu, axis=1) / n_tr
+        return sample_weights(x)[1] * np.sum(r * zu, axis=1) / n_tr
 
     problem = BilevelProblem(
         n=n_tr,

@@ -127,6 +127,22 @@ class TestParseTimeChecks:
         assert payload["at_iteration"] == 0
         assert "needs hvp_yy_ul and jvp_xy_ul" in payload["error"]
 
+    def test_failed_build_stays_in_its_run(self, tmp_path, capsys):
+        missing = {key: str(tmp_path / key) for key in
+                   ("idx_train", "idx_train_labels", "idx_val", "idx_val_labels")}
+        doc = {"runs": [
+            {"name": "idx", "problem": {"family": "hypercleaning", **missing},
+             "method": {"name": "bagdc"}},
+            dict(QUAD_RUN, name="quad")]}
+        out = tmp_path / "r"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        bad = json.loads((out / "idx" / "summary.json").read_text())
+        assert bad["status"] == "error" and bad["iterations"] == 0
+        assert "idx_train" in bad["error"]
+        good = json.loads((out / "quad" / "summary.json").read_text())
+        assert good["status"] == "max-iters" and good["iterations"] == 25
+
 
 class TestCheckCommand:
     def test_reports_each_problem_once(self, tmp_path, capsys):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import blo
-from blo.config import ProblemSpec, parse_config
+from blo.config import ProblemSpec, config_to_dict, parse_config
 from blo.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from blo.errors import ConfigError
 from blo.experiments import (STUDIES, build_problem, execute_run, reproduce,
                              run_experiments)
 from blo.metrics import TRACE_HEADER
+
+
+IDX_KEYS = ("idx_train", "idx_train_labels", "idx_val", "idx_val_labels")
 
 
 def quick_config(name=None, max_iters=20, beta=0.5):
@@ -90,6 +93,20 @@ class TestExecuteRun:
         (cfg2,) = parse_config(json.dumps(payload["config"]))
         assert cfg2 == cfg
 
+    def test_failed_build_is_an_error_run(self, tmp_path):
+        (cfg,) = parse_config(json.dumps({
+            "problem": {"family": "hypercleaning",
+                        **{key: str(tmp_path / "missing" / key) for key in IDX_KEYS}},
+            "method": {"name": "bagdc"}}))
+        summary = execute_run(cfg, tmp_path / "r")
+        assert summary.status == "error" and summary.iterations == 0
+        payload = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert payload["status"] == "error"
+        assert payload["iterations"] == 0 and payload["at_iteration"] == 0
+        assert payload["error"].startswith("FileNotFoundError: ")
+        assert payload["config"] == json.loads(json.dumps(config_to_dict(cfg)))
+        assert (tmp_path / "r" / "trace.csv").read_text() == TRACE_HEADER + "\n"
+
     def test_diverged_run_is_recorded(self, tmp_path):
         cfg = quick_config(max_iters=20000, beta=2.5)
         summary = execute_run(cfg, tmp_path / "r")
@@ -126,6 +143,24 @@ class TestRunExperiments:
         # the two identical runs also agree with each other
         assert (masked_rows(tmp_path / "seq" / "a" / "trace.csv")
                 == masked_rows(tmp_path / "seq" / "b" / "trace.csv"))
+
+    def test_parallel_hypercleaning_matches_sequential(self, tmp_path):
+        # each run builds its own problem, so the oracle caches are never
+        # shared between threads
+        configs = parse_config(json.dumps({"runs": [
+            {"name": name, "seed": seed,
+             "problem": {"family": "hypercleaning", "classes": 3, "dim": 4,
+                         "n_train": 60, "n_val": 30, "seed": seed},
+             "method": method, "stop": {"max_iters": iters}}
+            for name, seed, method, iters in (
+                ("bagdc", 1, {"name": "bagdc"}, 60),
+                ("rhg", 2, {"name": "rhg", "T": 5}, 8))]}))
+        assert run_experiments(configs, tmp_path / "seq", parallelism=1) == 0
+        assert run_experiments(configs, tmp_path / "par", parallelism=2) == 0
+        for name in ("bagdc", "rhg"):
+            rows = masked_rows(tmp_path / "seq" / name / "trace.csv")
+            assert len(rows) > 1
+            assert rows == masked_rows(tmp_path / "par" / name / "trace.csv")
 
     def test_failed_run_flips_exit_code(self, tmp_path):
         configs = [quick_config("ok"), quick_config("bad", max_iters=20000,

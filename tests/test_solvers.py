@@ -14,7 +14,8 @@ from blo.solvers import (METHOD_NAMES, MethodSpec, RunSummary, ScheduleConfig,
                          bda_hypergradient, implicit_cg_hypergradient,
                          implicit_ns_hypergradient, nosa_step, resolve_schedule,
                          rhg_hypergradient, run_solver, schedule_at)
-from blo.testbeds import make_multimin, make_quadratic
+from blo.testbeds import (corrupt_labels, hypercleaning_problem, make_multimin,
+                          make_quadratic, split_dataset, synth_blobs)
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +542,29 @@ class TestRunSolver:
         assert summary.error_at == 1
         assert "singular or indefinite" in summary.error
 
+    def test_any_step_exception_is_an_error_status(self, quad):
+        broken = []
+
+        def failing_grad(x, y):
+            if broken:
+                raise RuntimeError("lower gradient callback failed")
+            return quad.problem.grad_y_ll(x, y)
+
+        def probe(k, before, after, d):
+            if k == 2:  # the callback fails from the next step on
+                broken.append(k)
+
+        problem = dataclasses.replace(quad.problem, grad_y_ll=failing_grad)
+        rows = []
+        _, summary = run_solver(problem, MethodSpec("bagdc"),
+                                ScheduleConfig(alpha=0.1, beta=0.5, eta=0.5),
+                                StopRule(max_iters=10), quad.oracle,
+                                sink=rows.append, probe=probe)
+        assert summary.status == "error" and not summary.ok
+        assert summary.error == "RuntimeError: lower gradient callback failed"
+        assert summary.error_at == 3 and summary.iterations == 3
+        assert [r.k for r in rows] == [0, 1, 2]
+
     def test_time_limit(self, quad):
         sched = ScheduleConfig(alpha=0.01, beta=0.5, eta=0.5)
         _, summary = run_solver(quad.problem, MethodSpec("bagdc"), sched,
@@ -673,6 +697,31 @@ class TestGoldenTrace:
         assert summary.status == "max-iters" and len(rows) == 7
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "eda6a97531a831c2918b50b0f103269182befea37ad94704b3a64c90da105d71")
+
+    def test_hypercleaning_trace(self):
+        # SHA-256 of the trace rows (without wall_seconds) of a small
+        # synthetic hypercleaning problem under bagdc and rhg, both with
+        # the schedule resolved by power iteration; recorded before the
+        # oracle cached its train forward pass.  The oracle runs matrix
+        # products, so the digest assumes the same BLAS build and one
+        # BLAS thread's summation order
+        pool = synth_blobs(3, 5, 30, 3.0, seed=11)
+        train, val = split_dataset(pool, 60, seed=12)
+        hc = hypercleaning_problem(corrupt_labels(train, 0.3, seed=13), val)
+        sched = ScheduleConfig(mode="strongly-convex")
+        rows = []
+        for method, iters, every in ((MethodSpec("bagdc"), 200, 10),
+                                     (MethodSpec("rhg", T=5), 10, 1)):
+            _, summary = run_solver(hc.problem, method, sched,
+                                    StopRule(max_iters=iters), sink=rows.append,
+                                    seed=3, trace_every=every)
+            assert summary.status == "max-iters"
+        text = "".join(
+            ",".join(c for i, c in enumerate(r.csv_row().split(",")) if i != 1) + "\n"
+            for r in rows)
+        assert len(rows) == 31
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8b2abde5a62ef2af8f2527e98104c806727d85eb56a83fb1a73d8843458af15e")
 
 
 class TestStepSummability:

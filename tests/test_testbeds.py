@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blo import testbeds
 from blo.linalg import power_iteration_lmax, LinearOperator
 from blo.problem import fd_check_gradients
+from blo.solvers import MethodSpec, ScheduleConfig, StopRule, run_solver
 from blo.testbeds import (Dataset, classifier_accuracy, corrupt_labels,
                           f1_clean, hypercleaning_problem, make_multimin,
                           make_quadratic, split_dataset, synth_blobs)
@@ -218,6 +222,144 @@ def hp():
     ds = synth_blobs(3, 4, 10, 3.0, seed=6)
     tr, va = split_dataset(ds, 20, seed=7)
     return hypercleaning_problem(corrupt_labels(tr, 0.3, seed=8), va)
+
+
+def reference_lower_callbacks(train, c=1e-3):
+    """The lower-level callbacks as written before they shared a forward
+    pass: every call recomputes the train softmax and the sigmoid."""
+    a = np.hstack([train.features, np.ones((train.n, 1))])
+    labels, n, rows = train.labels, train.n, np.arange(train.n)
+
+    def unpack(w):
+        return np.asarray(w, dtype=float).reshape(train.n_classes, train.dim + 1)
+
+    def sigmoid(z):
+        out = np.empty_like(z, dtype=float)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def softmax(z):
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=1, keepdims=True)
+
+    def ll_value(x, w):
+        z = a @ unpack(w).T
+        zmax = z.max(axis=1, keepdims=True)
+        ce = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1)) - z[rows, labels]
+        return float(sigmoid(x) @ ce / n + 0.5 * c * (w @ w))
+
+    def grad_y_ll(x, w):
+        r = softmax(a @ unpack(w).T)
+        r[rows, labels] -= 1.0
+        g = (r * sigmoid(x)[:, None]).T @ a / n
+        return g.ravel() + c * w
+
+    def hvp_yy_ll(x, w, u):
+        pm = softmax(a @ unpack(w).T)
+        zu = a @ unpack(u).T
+        t = pm * zu
+        t -= pm * t.sum(axis=1, keepdims=True)
+        t *= sigmoid(x)[:, None]
+        return (t.T @ a / n).ravel() + c * np.asarray(u, dtype=float)
+
+    def jvp_xy_ll(x, w, u):
+        r = softmax(a @ unpack(w).T)
+        r[rows, labels] -= 1.0
+        zu = a @ unpack(u).T
+        s = sigmoid(np.asarray(x, dtype=float))
+        return s * (1.0 - s) * np.sum(r * zu, axis=1) / n
+
+    return SimpleNamespace(ll_value=ll_value, grad_y_ll=grad_y_ll,
+                           hvp_yy_ll=hvp_yy_ll, jvp_xy_ll=jvp_xy_ll)
+
+
+CACHE_TRAIN, CACHE_VAL = split_dataset(synth_blobs(3, 4, 10, 3.0, seed=6), 20, seed=7)
+LOWER_CALLBACKS = ("ll_value", "grad_y_ll", "hvp_yy_ll", "jvp_xy_ll")
+
+
+def call_lower(callbacks, kind, x, w, u):
+    fn = getattr(callbacks, kind)
+    return fn(x, w, u) if kind in ("hvp_yy_ll", "jvp_xy_ll") else fn(x, w)
+
+
+class TestHyperCleaningCache:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           calls=st.lists(st.tuples(st.sampled_from(LOWER_CALLBACKS),
+                                    st.integers(0, 2), st.integers(0, 3),
+                                    st.integers(0, 1)),
+                          min_size=1, max_size=40))
+    def test_interleaved_calls_match_reference(self, seed, calls):
+        # a fresh problem (cold caches) against the uncached formulas, at
+        # three x and four w in any order, so both the hits and the
+        # first-in-first-out evictions are exercised
+        problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
+        ref = reference_lower_callbacks(CACHE_TRAIN)
+        rng = np.random.default_rng(seed)
+        xs = [rng.standard_normal(problem.n) for _ in range(3)]
+        ws = [0.5 * rng.standard_normal(problem.m) for _ in range(4)]
+        us = [rng.standard_normal(problem.m) for _ in range(2)]
+        for kind, i, j, k in calls:
+            got = call_lower(problem, kind, xs[i], ws[j], us[k])
+            assert np.array_equal(got, call_lower(ref, kind, xs[i], ws[j], us[k])), kind
+
+    def test_in_place_changes_are_seen(self):
+        problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
+        ref = reference_lower_callbacks(CACHE_TRAIN)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(problem.n)
+        w = 0.5 * rng.standard_normal(problem.m)
+        u = rng.standard_normal(problem.m)
+        for kind in LOWER_CALLBACKS:
+            call_lower(problem, kind, x, w, u)
+        w += 0.25
+        for kind in LOWER_CALLBACKS:
+            assert np.array_equal(call_lower(problem, kind, x, w, u),
+                                  call_lower(ref, kind, x, w, u)), kind
+        x[::2] *= -1.0
+        for kind in LOWER_CALLBACKS:
+            assert np.array_equal(call_lower(problem, kind, x, w, u),
+                                  call_lower(ref, kind, x, w, u)), kind
+
+    def test_returned_arrays_are_the_callers(self):
+        problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
+        ref = reference_lower_callbacks(CACHE_TRAIN)
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(problem.n)
+        w = 0.5 * rng.standard_normal(problem.m)
+        u = rng.standard_normal(problem.m)
+        for kind in ("grad_y_ll", "hvp_yy_ll", "jvp_xy_ll"):
+            out = call_lower(problem, kind, x, w, u)
+            out[:] = np.nan
+            assert np.array_equal(call_lower(problem, kind, x, w, u),
+                                  call_lower(ref, kind, x, w, u)), kind
+
+    def test_one_train_softmax_per_bagdc_step(self, monkeypatch):
+        problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
+        train_shape = (CACHE_TRAIN.n, CACHE_TRAIN.n_classes)
+        softmax = testbeds._softmax
+        train_calls = []
+
+        def counting_softmax(z):
+            if z.shape == train_shape:
+                train_calls.append(1)
+            return softmax(z)
+
+        monkeypatch.setattr(testbeds, "_softmax", counting_softmax)
+        per_step = []
+
+        def probe(k, before, after, d):
+            per_step.append(len(train_calls) - sum(per_step))
+
+        # one trace row per step: the KKT residual asks at the new y too
+        run_solver(problem, MethodSpec("bagdc"),
+                   ScheduleConfig(alpha=0.5, beta=0.5, eta=0.5),
+                   StopRule(max_iters=30), probe=probe, trace_every=1)
+        assert per_step == [2] + [1] * 29
 
 
 class TestHyperCleaning:
