@@ -106,25 +106,36 @@ def _run_to_dir(built: BuiltProblem, cfg: ExperimentConfig, run_dir: Path,
     return state, summary, records
 
 
-def execute_run(cfg: ExperimentConfig, run_dir: Path) -> RunSummary:
-    """Build the problem a config names and run it into ``run_dir``.  A
-    build that fails (say, on a missing IDX file) is that run's ``error``."""
-    run_dir = Path(run_dir)
+def _build_or_fail(cfg: ExperimentConfig, run_dir: Path
+                   ) -> tuple[BuiltProblem | None, RunSummary | None]:
+    """``(built, None)``, or ``(None, summary)`` when the build fails (say, on
+    a missing IDX file): that run's ``error``, written into ``run_dir``."""
     try:
-        built = build_problem(cfg.problem)
+        return build_problem(cfg.problem), None
     except Exception as exc:
         summary = RunSummary("error", 0, 0.0, Counts(), {}, {},
                              f"{type(exc).__name__}: {exc}", 0)
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "trace.csv").write_text(TRACE_HEADER + "\n", encoding="utf-8")
         _write_json(run_dir / "summary.json", _summary_payload(summary, cfg))
-        return summary
+        return None, summary
+
+
+def execute_run(cfg: ExperimentConfig, run_dir: Path) -> RunSummary:
+    """Build the problem a config names and run it into ``run_dir``."""
+    run_dir = Path(run_dir)
+    built, failed = _build_or_fail(cfg, run_dir)
+    if failed is not None:
+        return failed
     return _run_to_dir(built, cfg, run_dir)[1]
 
 
 def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
-                    parallelism: int = 1) -> int:
-    """Run each config in its own subdirectory; 0 iff every run finished clean."""
+                    parallelism: int = 1,
+                    on_failure: Callable[[str, RunSummary], None] | None = None
+                    ) -> int:
+    """Run each config in its own subdirectory; 0 iff every run finished clean.
+    ``on_failure(name, summary)`` is called for each run that did not."""
     if not configs:
         return 0
     out = Path(out_dir)
@@ -140,7 +151,11 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
         futures = [pool.submit(execute_run, cfg, out / name)
                    for cfg, name in zip(configs, names)]
         summaries = [f.result() for f in futures]
-    return 0 if all(s.ok for s in summaries) else 1
+    failed = [(name, s) for name, s in zip(names, summaries) if not s.ok]
+    if on_failure is not None:
+        for name, summary in failed:
+            on_failure(name, summary)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +173,7 @@ class StudyRun:
     """One run of a study, as its probe, rows, figures and checks see it."""
 
     cfg: ExperimentConfig
-    built: BuiltProblem
+    built: BuiltProblem | None  # None when the build failed
     probed: list = field(default_factory=list)  # what the study's probe recorded
     state: SolverState | None = None
     summary: RunSummary | None = None
@@ -191,7 +206,10 @@ def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out: Pa
     runs: dict[str, StudyRun] = {}
     rows: list[str] = []
     for cfg in configs:
-        run = runs[cfg.name] = StudyRun(cfg, build_problem(cfg.problem))
+        built, failed = _build_or_fail(cfg, out / cfg.name)
+        run = runs[cfg.name] = StudyRun(cfg, built, summary=failed)
+        if failed is not None:
+            continue
         probe = study.probe(run) if study.probe is not None else None
         run.state, run.summary, run.records = _run_to_dir(
             run.built, cfg, out / cfg.name, probe=probe)
@@ -204,9 +222,14 @@ def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out: Pa
         fh.write("".join(line + "\n" for line in [_COMPARISON_HEADER, *rows]))
 
     warnings: list[str] = []
-    for fig in study.figures:
-        warnings += svgplot.emit_svg(fig.series(runs), fig.axes, str(out / fig.file))
-    checks = study.checks(runs)
+    unbuilt = [label for label, run in runs.items() if run.built is None]
+    if unbuilt:  # figures and checks read built runs
+        warnings.append(f"no figures or checks: {', '.join(unbuilt)} failed to build")
+        checks = {"all_runs_built": False}
+    else:
+        for fig in study.figures:
+            warnings += svgplot.emit_svg(fig.series(runs), fig.axes, str(out / fig.file))
+        checks = study.checks(runs)
     ok = all(checks.values())
     _write_json(out / "summary.json", {
         "study": name, "seed": seed,

@@ -13,12 +13,13 @@ aggregated surrogate a solver iterates on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from .errors import MissingOracleError
-from .linalg import Array, LinearOperator, cg_solve, gaussian_vector
+from .linalg import Array, LinearOperator, _content_cache, cg_solve, gaussian_vector
 from .problem import BilevelProblem, aggregate
 
 
@@ -78,7 +79,10 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
 
     All inverse applications go through CG at tolerance 1e-12, so the
     oracle is usable with matrix-free A.  A must be symmetric positive
-    definite; a handful of seeded Rayleigh quotients are checked.
+    definite; a handful of seeded Rayleigh quotients are checked.  The
+    last four solves are memoised by content (a trace row and the next
+    step's probe ask several times at one x), and ``y_star`` returns them
+    read-only: call an oracle from one thread at a time.
     """
     z0 = np.asarray(z0, dtype=float)
     n = a_op.dim
@@ -87,8 +91,10 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
         if float(u @ a_op.apply(u)) <= 0.0:
             raise ValueError("operator failed a positive-definiteness spot check")
 
+    solves = _content_cache(lambda w: (cg_solve(a_op, w, tol=1e-12).x,), 4)
+
     def a_inv(w: Array) -> Array:
-        return cg_solve(a_op, w, tol=1e-12).x
+        return solves(w)[0]
 
     def y_star(x: Array) -> Array:
         return a_inv(x)
@@ -128,6 +134,16 @@ TRACE_COLUMNS = (
 )
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
+_row_values = attrgetter(*TRACE_COLUMNS)
+
+
+def _cell(val) -> str:
+    if val is None:
+        return ""
+    if isinstance(val, int):
+        return str(val)
+    return repr(float(val))
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -151,13 +167,7 @@ class TraceRecord:
     jvp_count: int
 
     def csv_row(self) -> str:
-        cells = []
-        for name in TRACE_COLUMNS:
-            val = getattr(self, name)
-            if val is None:
-                cells.append("")
-            elif isinstance(val, int):
-                cells.append(str(val))
-            else:
-                cells.append(repr(float(val)))
-        return ",".join(cells)
+        """Cells by value: None is empty, an int prints as str, anything
+        else as repr(float(value))."""
+        return ",".join([repr(v) if type(v) is float else _cell(v)
+                         for v in _row_values(self)])

@@ -21,6 +21,7 @@ problem (``counting_problem``, once per call of T inner steps).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -39,7 +40,7 @@ METHOD_NAMES = ("bagdc", "nosa", "rhg", "implicit-cg", "implicit-ns", "bda")
 _ETA_CURV_FLOOR = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverState:
     x: Array
     y: Array
@@ -122,7 +123,12 @@ def _ensure_finite(vec: Array, name: str) -> None:
         raise DivergenceError(f"iterate {name} became non-finite")
 
 
-@dataclass(frozen=True)
+def _norm(a: Array) -> float:
+    """Euclidean norm of a 1-D float array, bitwise equal to ``np.linalg.norm``."""
+    return math.sqrt(float(a.dot(a)))
+
+
+@dataclass(slots=True)
 class StepInfo:
     """Direction, oracle cost, and (for BAGDC) the eta actually used."""
 
@@ -153,7 +159,8 @@ def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
     HVP and one JVP per call (one extra HVP under the adaptive eta rule,
     which replaces eta by <r,r>/<r,Hr> for the residual r, falling back
     to the supplied eta when the quotient degenerates).  Counts are taken
-    at the psi surface: one psi product is one product.
+    at the psi surface: one psi product is one product.  A non-finite
+    iterate raises DivergenceError naming the first of y, v, x that broke.
     """
     w = psi_weights(problem, mu, lam)
     if mu == 0.0:
@@ -161,7 +168,6 @@ def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
     p = problem
     x, y, v = state.x, state.y, state.v
     y1 = y - beta * _psi(w, p.grad_y_ul, p.grad_y_ll, x, y)
-    _ensure_finite(y1, "y")
     r = p.grad_y_ul(x, y1) - _psi(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, v)
     hvps = 1
     eta_k = eta
@@ -173,10 +179,13 @@ def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
             if rhr > _ETA_CURV_FLOOR * rr:
                 eta_k = rr / rhr
     v1 = v + eta_k * r
-    _ensure_finite(v1, "v")
     d = p.grad_x_ul(x, y1) - _psi(w, p.jvp_xy_ul, p.jvp_xy_ll, x, y, v1)
     x1 = x - alpha * d
-    _ensure_finite(x1, "x")
+    # one check for all three; a finite sum that overflows passes below
+    if not math.isfinite(float(y1.dot(y1)) + float(v1.dot(v1)) + float(x1.dot(x1))):
+        _ensure_finite(y1, "y")
+        _ensure_finite(v1, "v")
+        _ensure_finite(x1, "x")
     new = SolverState(x1, y1, v1, state.k + 1, state.elapsed)
     return new, StepInfo(d, Counts(3, hvps, 1), eta_k)
 
@@ -381,50 +390,31 @@ def _try_metric(fn):
 
 
 def _make_record(problem, oracle, state, d_norm, mu_k, a_k, b_k, e_k,
-                 seconds, totals, lam) -> TraceRecord:
+                 seconds, totals, lam, x_star_norm) -> TraceRecord:
     x, y, v = state.x, state.y, state.v
     grad_phi_norm = dist_x_rel = dist_y = lyap = None
     if oracle is not None:
-        grad_phi_norm = _try_metric(
-            lambda: float(np.linalg.norm(oracle.grad_phi(x))))
+        grad_phi_norm = _try_metric(lambda: _norm(oracle.grad_phi(x)))
         if oracle.x_star is not None:
-            denom = max(float(np.linalg.norm(oracle.x_star)), 1e-12)
-            dist_x_rel = float(np.linalg.norm(x - oracle.x_star)) / denom
+            dist_x_rel = _norm(x - oracle.x_star) / x_star_norm
         if oracle.y_star_mu is not None:
-            dist_y = _try_metric(
-                lambda: float(np.linalg.norm(y - oracle.y_star_mu(x, mu_k, lam))))
+            dist_y = _try_metric(lambda: _norm(y - oracle.y_star_mu(x, mu_k, lam)))
         else:
-            dist_y = _try_metric(
-                lambda: float(np.linalg.norm(y - oracle.y_star(x))))
+            dist_y = _try_metric(lambda: _norm(y - oracle.y_star(x)))
         if oracle.y_star_mu is not None and oracle.v_star_mu is not None:
             lyap = _try_metric(
                 lambda: lyapunov_value(problem, oracle, x, y, v, mu_k, lam))
     return TraceRecord(
-        k=state.k - 1,
-        wall_seconds=seconds,
-        ul_value=float(problem.ul_value(x, y)),
-        ll_value=float(problem.ll_value(x, y)),
-        d_norm=d_norm,
-        kkt_residual=kkt_residual(problem, x, y, v),
-        grad_phi_norm=grad_phi_norm,
-        dist_x_rel=dist_x_rel,
-        dist_y=dist_y,
-        lyapunov=lyap,
-        mu=mu_k,
-        alpha=a_k,
-        beta=b_k,
-        eta=e_k,
-        hvp_count=totals.hvps,
-        jvp_count=totals.jvps,
-    )
+        k=state.k - 1, wall_seconds=seconds, ul_value=float(problem.ul_value(x, y)),
+        ll_value=float(problem.ll_value(x, y)), d_norm=d_norm,
+        kkt_residual=kkt_residual(problem, x, y, v), grad_phi_norm=grad_phi_norm,
+        dist_x_rel=dist_x_rel, dist_y=dist_y, lyapunov=lyap, mu=mu_k, alpha=a_k,
+        beta=b_k, eta=e_k, hvp_count=totals.hvps, jvp_count=totals.jvps)
 
 
 def _dispatch_step(state: SolverState, problem: BilevelProblem, method: MethodSpec,
-                   cfg: ScheduleConfig, mu_k: float, a_k: float, b_k: float,
-                   e_k: float, adaptive: bool) -> tuple[SolverState, StepInfo]:
-    if method.name == "bagdc":
-        return bagdc_step(state, problem, mu_k, a_k, b_k, e_k, cfg.lam,
-                          adaptive=adaptive)
+                   a_k: float, b_k: float) -> tuple[SolverState, StepInfo]:
+    """One step of any method but ``bagdc``, which the driver calls directly."""
     if method.name == "nosa":
         return nosa_step(state, problem, a_k, b_k)
     if method.name == "rhg":
@@ -472,25 +462,34 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
                   "eta": cfg.eta, "mu_bar": cfg.mu_bar, "p": cfg.p,
                   "lam": cfg.lam, "eta_rule": cfg.eta_rule, "l_hat": l_hat}
     adaptive = cfg.eta_rule == "adaptive"
+    is_bagdc = method.name == "bagdc"
+    x_star = None if oracle is None else oracle.x_star
+    x_star_norm = None if x_star is None else max(_norm(x_star), 1e-12)
+    # unset criteria become bounds that never fire
+    max_iters = math.inf if stop.max_iters is None else stop.max_iters
+    max_seconds = math.inf if stop.max_seconds is None else stop.max_seconds
+    d_norm_tol = -math.inf if stop.d_norm_tol is None else stop.d_norm_tol
+    kkt_tol = -math.inf if stop.kkt_tol is None else stop.kkt_tol
     totals = Counts()
     seconds = 0.0
-    status = None
-    error = None
-    error_at = None
+    status = error = error_at = None
     last_rec: TraceRecord | None = None
     k = 0
-    while True:
-        if stop.max_iters is not None and k >= stop.max_iters:
-            status = "max-iters"
-            break
-        mu_k, a_k, b_k, e_k = schedule_at(cfg, k)
-        before = state
-        # overflow is how divergence manifests; detect it, don't warn
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow is how divergence manifests; detect it, don't warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if k >= max_iters:
+                status = "max-iters"
+                break
+            mu_k, a_k, b_k, e_k = schedule_at(cfg, k)
+            before = state
             t0 = time.perf_counter()
             try:
-                state, info = _dispatch_step(state, problem, method, cfg, mu_k,
-                                             a_k, b_k, e_k, adaptive)
+                if is_bagdc:
+                    state, info = bagdc_step(state, problem, mu_k, a_k, b_k, e_k,
+                                             cfg.lam, adaptive=adaptive)
+                else:
+                    state, info = _dispatch_step(state, problem, method, a_k, b_k)
             except SingularHessianError as exc:
                 status, error, error_at = "singular-hessian", str(exc), k
                 break
@@ -506,34 +505,34 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
             seconds += time.perf_counter() - t0
             state.elapsed = seconds
             totals.add(info.counts)
-            d_norm = float(np.linalg.norm(info.d))
-            converged = stop.d_norm_tol is not None and d_norm <= stop.d_norm_tol
-            timed_out = stop.max_seconds is not None and seconds >= stop.max_seconds
-            is_last = stop.max_iters is not None and k + 1 >= stop.max_iters
-            if k % trace_every == 0 or converged or timed_out or is_last:
+            d_norm = _norm(info.d)
+            converged = d_norm <= d_norm_tol
+            timed_out = seconds >= max_seconds
+            if k % trace_every == 0 or converged or timed_out or k + 1 >= max_iters:
                 e_used = info.eta if info.eta is not None else e_k
                 last_rec = _make_record(problem, oracle, state, d_norm, mu_k, a_k,
-                                        b_k, e_used, seconds, totals, cfg.lam)
+                                        b_k, e_used, seconds, totals, cfg.lam,
+                                        x_star_norm)
                 if sink is not None:
                     sink(last_rec)
-                if stop.kkt_tol is not None and last_rec.kkt_residual <= stop.kkt_tol:
+                if last_rec.kkt_residual <= kkt_tol:
                     converged = True
-        if probe is not None:
-            probe(k, before, state, info.d)
-        k += 1
-        if converged:
-            status = "converged"
-            break
-        if timed_out:
-            status = "time-limit"
-            break
+            if probe is not None:
+                probe(k, before, state, info.d)
+            k += 1
+            if converged:
+                status = "converged"
+                break
+            if timed_out:
+                status = "time-limit"
+                break
 
     final = {} if last_rec is None else {
         name: getattr(last_rec, name)
         for name in ("ul_value", "ll_value", "d_norm", "kkt_residual",
                      "grad_phi_norm", "dist_x_rel", "dist_y", "lyapunov")
     }
-    if (status in _OK_STATUSES and method.name == "bagdc"
+    if (status in _OK_STATUSES and is_bagdc
             and cfg.mode == "merely-convex" and problem.has_ul_curvature and k > 0):
         mu_last = schedule_at(cfg, k - 1)[0]
         final["kkt_residual_aggregated"] = kkt_residual_aggregated(

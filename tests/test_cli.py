@@ -136,10 +136,13 @@ class TestParseTimeChecks:
             dict(QUAD_RUN, name="quad")]}
         out = tmp_path / "r"
         assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
         bad = json.loads((out / "idx" / "summary.json").read_text())
         assert bad["status"] == "error" and bad["iterations"] == 0
         assert "idx_train" in bad["error"]
+        # one line per failed run: name, status and error
+        assert err.splitlines() == [f"run idx: error: {bad['error']}"]
         good = json.loads((out / "quad" / "summary.json").read_text())
         assert good["status"] == "max-iters" and good["iterations"] == 25
 
@@ -193,6 +196,22 @@ class TestReproduceCommand:
         assert main(["reproduce", *argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_idx_files_fail_the_study(self, tmp_path, capsys):
+        out = tmp_path / "hc"
+        argv = ["reproduce", "hypercleaning", "--out", str(out)]
+        for flag in ("train", "train-labels", "val", "val-labels"):
+            argv += [f"--idx-{flag}", str(tmp_path / flag)]
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ok"] is False
+        assert summary["checks"] == {"all_runs_built": False}
+        for label in ("bagdc", "rhg-T100"):
+            run = summary["runs"][label]
+            assert run["status"] == "error" and run["iterations"] == 0
+            assert run["error"].startswith("FileNotFoundError")
+            assert (out / label / "summary.json").exists()
 
     def test_idx_flags_rejected_outside_hypercleaning(self, tmp_path, capsys):
         rc = main(["reproduce", "counterexample", "--out", str(tmp_path / "s"),

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from blo import metrics
 from blo.errors import MissingOracleError
 from blo.linalg import cg_solve
 from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, AnalyticOracle,
                          TraceRecord, hypergrad_error, kkt_residual,
-                         kkt_residual_aggregated, lyapunov_value)
+                         kkt_residual_aggregated, lyapunov_value,
+                         quadratic_oracle)
 from blo.problem import aggregate
 from blo.solvers import rhg_hypergradient
 from blo.testbeds import make_quadratic
@@ -105,6 +109,38 @@ class TestOracleSelfConsistency:
             quadratic_oracle(diagonal_operator(np.array([1.0, -1.0])), np.ones(2))
 
 
+class TestQuadraticOracleSolves:
+    def test_repeated_points_solve_once(self, monkeypatch):
+        a_op = make_quadratic(4, spectrum=(0.5, 5.0), seed=3).a_op
+        solves = []
+
+        def counting_cg(op, b, **kw):
+            solves.append(1)
+            return cg_solve(op, b, **kw)
+
+        monkeypatch.setattr(metrics, "cg_solve", counting_cg)
+        orc = quadratic_oracle(a_op, np.ones(4))
+        solves.clear()  # x_star
+        xs = [np.random.default_rng(s).standard_normal(4) for s in range(5)]
+        first = [orc.y_star(x) for x in xs]
+        assert len(solves) == 5
+        for x, y in zip(xs[1:], first[1:]):  # the last four are kept
+            assert orc.y_star(x) is y
+            orc.grad_phi(x)
+            orc.v_star_mu(x, 0.3, 1.0)  # and y_star_mu
+        assert len(solves) == 5
+        assert orc.y_star(xs[0]) is not first[0] and len(solves) == 6
+        for x, y in zip(xs, first):
+            np.testing.assert_array_equal(y, cg_solve(a_op, x, tol=1e-12).x)
+            assert not y.flags.writeable
+
+    def test_in_place_change_of_x_is_a_new_point(self, quad_spd):
+        x = np.ones(4)
+        y1 = quad_spd.oracle.y_star(x).copy()
+        x *= 2.0
+        np.testing.assert_allclose(quad_spd.oracle.y_star(x), 2.0 * y1, rtol=1e-10)
+
+
 class TestHypergradError:
     def test_exact_gradient_is_zero_error(self, quad):
         x = np.array([0.3, -1.2])
@@ -186,3 +222,39 @@ class TestTraceRecord:
         val = 1.0 / 3.0
         row = _rec(0, val).csv_row().split(",")
         assert float(row[5]) == val
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.none(), st.integers(-10**20, 10**20), st.booleans(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+        st.floats(allow_nan=True).map(np.float64), st.integers(-99, 99).map(np.int64),
+    ), min_size=16, max_size=16))
+    def test_csv_row_matches_per_value_formatter(self, values):
+        # None, int-valued alpha/mu and numpy scalars may reach a record
+        # from Python callers; each cell follows its value, not its column
+        rec = TraceRecord(*values)
+        assert rec.csv_row() == reference_csv_row(rec)
+
+    def test_csv_row_of_typical_rows(self):
+        recs = [_rec(3, 0.5), _rec(0, -0.0),
+                dataclasses.replace(_rec(7, math.nan), alpha=1, mu=0,
+                                    d_norm=math.inf, dist_y=-math.inf),
+                dataclasses.replace(_rec(1, 2.0), eta=np.float64(0.1))]
+        for rec in recs:
+            assert rec.csv_row() == reference_csv_row(rec)
+        assert recs[2].csv_row().split(",")[10:12] == ["0", "1"]
+
+
+def reference_csv_row(rec):
+    """Cell by cell with ``getattr``: the reference ``csv_row`` must match."""
+    cells = []
+    for name in TRACE_COLUMNS:
+        val = getattr(rec, name)
+        if val is None:
+            cells.append("")
+        elif isinstance(val, int):
+            cells.append(str(val))
+        else:
+            cells.append(repr(float(val)))
+    return ",".join(cells)

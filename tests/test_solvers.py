@@ -335,6 +335,72 @@ class TestLeanStepEquivalence:
                          "jvp_xy_ll"]
 
 
+def breaking_problem(problem, kind, broken):
+    """``problem`` whose ``kind`` callback returns inf once ``broken`` is non-empty."""
+    fn = getattr(problem, kind)
+
+    def maybe_inf(*args):
+        out = fn(*args)
+        return np.full_like(out, np.inf) if broken else out
+    return dataclasses.replace(problem, **{kind: maybe_inf})
+
+
+class TestFinitenessCheck:
+    """One check per step; on failure the iterate is named in the order y, v, x."""
+
+    @pytest.mark.parametrize("kind, name", [("grad_y_ll", "y"),
+                                            ("hvp_yy_ll", "v"),
+                                            ("jvp_xy_ll", "x")])
+    def test_names_the_iterate_that_broke(self, quad, kind, name):
+        message = f"iterate {name} became non-finite"
+        state = SolverState(np.full(2, 0.3), np.full(2, -0.2), np.full(2, 0.1))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match=message):
+            bagdc_step(state, breaking_problem(quad.problem, kind, [True]),
+                       0.0, 0.1, 0.5, 0.5)
+
+        broken = []
+
+        def probe(k, before, after, d):
+            if k == 2:  # the callback returns inf from the next step on
+                broken.append(k)
+
+        _, summary = run_solver(breaking_problem(quad.problem, kind, broken),
+                                MethodSpec("bagdc"),
+                                ScheduleConfig(alpha=0.1, beta=0.5, eta=0.5),
+                                StopRule(max_iters=10), quad.oracle, probe=probe)
+        assert summary.status == "diverged"
+        assert summary.error == message
+        assert summary.error_at == 3 and summary.iterations == 3
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_finite_iterates_whose_squares_overflow_pass(self, adaptive):
+        problem = _TESTBEDS["quadratic"]
+        big = np.array([1e160, -2e160, 3e160])
+        state = SolverState(big, 0.5 * big, 0.25 * big)
+        with np.errstate(over="ignore"):  # as ``run_solver`` calls a step
+            new, info = bagdc_step(state, problem, 0.0, 1e-3, 1e-3, 1e-3,
+                                   adaptive=adaptive)
+            x1, y1, v1, d, eta_k, _ = reference_bagdc(state, problem, 0.0, 1e-3,
+                                                      1e-3, 1e-3, 1.0, adaptive)
+        # x alone squares past the largest float: the fast check did fail
+        assert np.abs(new.x).max() > math.sqrt(np.finfo(float).max)
+        for got, want in ((new.x, x1), (new.y, y1), (new.v, v1), (info.d, d)):
+            assert np.isfinite(got).all()
+            np.testing.assert_array_equal(got, want)
+        assert info.eta == eta_k
+
+    @pytest.mark.parametrize("beta, status", [(0.5, "max-iters"), (2.5, "diverged")])
+    def test_numpy_error_state_restored(self, quad, beta, status):
+        with np.errstate(all="warn"):
+            before = np.geterr()
+            _, summary = run_solver(quad.problem, MethodSpec("bagdc"),
+                                    ScheduleConfig(alpha=0.1, beta=beta, eta=0.5),
+                                    StopRule(max_iters=5000), quad.oracle)
+            assert np.geterr() == before
+        assert summary.status == status
+
+
 class TestNosa:
     def test_first_step_by_hand(self, quad):
         state, info = nosa_step(zero_state(quad.problem), quad.problem,
