@@ -73,14 +73,9 @@ def _load_configs(path: str):
     return configs
 
 
-def _report_failure(name: str, summary) -> None:
-    print(f"run {name}: {summary.status}: {summary.error}", file=sys.stderr)
-
-
 def _cmd_run(args) -> int:
     configs = _load_configs(args.config)
-    return run_experiments(configs, args.out, parallelism=args.parallel,
-                           on_failure=_report_failure)
+    return run_experiments(configs, args.out, parallelism=args.parallel)
 
 
 def _cmd_reproduce(args) -> int:

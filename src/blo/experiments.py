@@ -12,6 +12,7 @@ CSV, SVG figures and summary.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -131,11 +132,9 @@ def execute_run(cfg: ExperimentConfig, run_dir: Path) -> RunSummary:
 
 
 def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
-                    parallelism: int = 1,
-                    on_failure: Callable[[str, RunSummary], None] | None = None
-                    ) -> int:
+                    parallelism: int = 1) -> int:
     """Run each config in its own subdirectory; 0 iff every run finished clean.
-    ``on_failure(name, summary)`` is called for each run that did not."""
+    Each run that did not gets one stderr line: its name, status and error."""
     if not configs:
         return 0
     out = Path(out_dir)
@@ -152,9 +151,8 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
                    for cfg, name in zip(configs, names)]
         summaries = [f.result() for f in futures]
     failed = [(name, s) for name, s in zip(names, summaries) if not s.ok]
-    if on_failure is not None:
-        for name, summary in failed:
-            on_failure(name, summary)
+    for name, summary in failed:
+        print(f"run {name}: {summary.status}: {summary.error}", file=sys.stderr)
     return 1 if failed else 0
 
 

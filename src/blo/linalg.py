@@ -1,9 +1,9 @@
 """Matrix-free linear-algebra kernels: CG solves, truncated Neumann series,
-spectral estimation, seeded Gaussian draws, and a content-keyed memo.
+spectral estimation, and seeded Gaussian draws.
 
 Vectors are plain 1-D float64 numpy arrays.  Operators carry only a
 dimension and a matvec, so the same code path serves explicit test
-matrices and Hessian-vector oracles alike.  Every kernel here is pure
+matrices and Hessian-vector oracles alike.  Every function here is pure
 and calls its operator only from the calling thread, so operators need
 not be thread-safe: each run builds its own problem and uses one thread.
 """
@@ -145,24 +145,6 @@ def power_iteration_lmax(op: LinearOperator, iters: int = 100, seed: int = 0) ->
             return 0.0
         v = w / nw
     return float(v @ op.apply(v))
-
-
-def _content_cache(fn, size: int):
-    """``fn(a)``, a tuple of arrays made read-only, for the last ``size``
-    contents of ``a`` (FIFO).  Not thread-safe: one cache serves one run."""
-    cache: dict[bytes, tuple[Array, ...]] = {}
-
-    def cached(a):
-        a = np.asarray(a, dtype=float)
-        key = a.tobytes()
-        if key not in cache:
-            if len(cache) == size:
-                del cache[next(iter(cache))]
-            cache[key] = fn(a)
-            for arr in cache[key]:
-                arr.flags.writeable = False
-        return cache[key]
-    return cached
 
 
 def gaussian_vector(dim: int, seed: int) -> Array:

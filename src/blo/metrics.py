@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingOracleError
-from .linalg import Array, LinearOperator, _content_cache, cg_solve, gaussian_vector
+from .linalg import Array, LinearOperator, cg_solve, gaussian_vector
 from .problem import BilevelProblem, aggregate
 
 
@@ -79,10 +79,7 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
 
     All inverse applications go through CG at tolerance 1e-12, so the
     oracle is usable with matrix-free A.  A must be symmetric positive
-    definite; a handful of seeded Rayleigh quotients are checked.  The
-    last four solves are memoised by content (a trace row and the next
-    step's probe ask several times at one x), and ``y_star`` returns them
-    read-only: call an oracle from one thread at a time.
+    definite; a handful of seeded Rayleigh quotients are checked.
     """
     z0 = np.asarray(z0, dtype=float)
     n = a_op.dim
@@ -91,10 +88,8 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
         if float(u @ a_op.apply(u)) <= 0.0:
             raise ValueError("operator failed a positive-definiteness spot check")
 
-    solves = _content_cache(lambda w: (cg_solve(a_op, w, tol=1e-12).x,), 4)
-
     def a_inv(w: Array) -> Array:
-        return solves(w)[0]
+        return cg_solve(a_op, w, tol=1e-12).x
 
     def y_star(x: Array) -> Array:
         return a_inv(x)
@@ -169,5 +164,4 @@ class TraceRecord:
     def csv_row(self) -> str:
         """Cells by value: None is empty, an int prints as str, anything
         else as repr(float(value))."""
-        return ",".join([repr(v) if type(v) is float else _cell(v)
-                         for v in _row_values(self)])
+        return ",".join(map(_cell, _row_values(self)))

@@ -390,13 +390,14 @@ def _try_metric(fn):
 
 
 def _make_record(problem, oracle, state, d_norm, mu_k, a_k, b_k, e_k,
-                 seconds, totals, lam, x_star_norm) -> TraceRecord:
+                 seconds, totals, lam) -> TraceRecord:
     x, y, v = state.x, state.y, state.v
     grad_phi_norm = dist_x_rel = dist_y = lyap = None
     if oracle is not None:
         grad_phi_norm = _try_metric(lambda: _norm(oracle.grad_phi(x)))
         if oracle.x_star is not None:
-            dist_x_rel = _norm(x - oracle.x_star) / x_star_norm
+            denom = max(_norm(oracle.x_star), 1e-12)
+            dist_x_rel = _norm(x - oracle.x_star) / denom
         if oracle.y_star_mu is not None:
             dist_y = _try_metric(lambda: _norm(y - oracle.y_star_mu(x, mu_k, lam)))
         else:
@@ -413,8 +414,11 @@ def _make_record(problem, oracle, state, d_norm, mu_k, a_k, b_k, e_k,
 
 
 def _dispatch_step(state: SolverState, problem: BilevelProblem, method: MethodSpec,
-                   a_k: float, b_k: float) -> tuple[SolverState, StepInfo]:
-    """One step of any method but ``bagdc``, which the driver calls directly."""
+                   cfg: ScheduleConfig, mu_k: float, a_k: float, b_k: float,
+                   e_k: float, adaptive: bool) -> tuple[SolverState, StepInfo]:
+    if method.name == "bagdc":
+        return bagdc_step(state, problem, mu_k, a_k, b_k, e_k, cfg.lam,
+                          adaptive=adaptive)
     if method.name == "nosa":
         return nosa_step(state, problem, a_k, b_k)
     if method.name == "rhg":
@@ -462,9 +466,6 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
                   "eta": cfg.eta, "mu_bar": cfg.mu_bar, "p": cfg.p,
                   "lam": cfg.lam, "eta_rule": cfg.eta_rule, "l_hat": l_hat}
     adaptive = cfg.eta_rule == "adaptive"
-    is_bagdc = method.name == "bagdc"
-    x_star = None if oracle is None else oracle.x_star
-    x_star_norm = None if x_star is None else max(_norm(x_star), 1e-12)
     # unset criteria become bounds that never fire
     max_iters = math.inf if stop.max_iters is None else stop.max_iters
     max_seconds = math.inf if stop.max_seconds is None else stop.max_seconds
@@ -485,11 +486,8 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
             before = state
             t0 = time.perf_counter()
             try:
-                if is_bagdc:
-                    state, info = bagdc_step(state, problem, mu_k, a_k, b_k, e_k,
-                                             cfg.lam, adaptive=adaptive)
-                else:
-                    state, info = _dispatch_step(state, problem, method, a_k, b_k)
+                state, info = _dispatch_step(state, problem, method, cfg, mu_k,
+                                             a_k, b_k, e_k, adaptive)
             except SingularHessianError as exc:
                 status, error, error_at = "singular-hessian", str(exc), k
                 break
@@ -511,8 +509,7 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
             if k % trace_every == 0 or converged or timed_out or k + 1 >= max_iters:
                 e_used = info.eta if info.eta is not None else e_k
                 last_rec = _make_record(problem, oracle, state, d_norm, mu_k, a_k,
-                                        b_k, e_used, seconds, totals, cfg.lam,
-                                        x_star_norm)
+                                        b_k, e_used, seconds, totals, cfg.lam)
                 if sink is not None:
                     sink(last_rec)
                 if last_rec.kkt_residual <= kkt_tol:
@@ -532,7 +529,7 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
         for name in ("ul_value", "ll_value", "d_norm", "kkt_residual",
                      "grad_phi_norm", "dist_x_rel", "dist_y", "lyapunov")
     }
-    if (status in _OK_STATUSES and is_bagdc
+    if (status in _OK_STATUSES and method.name == "bagdc"
             and cfg.mode == "merely-convex" and problem.has_ul_curvature and k > 0):
         mu_last = schedule_at(cfg, k - 1)[0]
         final["kkt_residual_aggregated"] = kkt_residual_aggregated(

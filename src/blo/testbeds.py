@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Array, LinearOperator, _content_cache, diagonal_operator,
-                     identity_operator)
+from .linalg import Array, LinearOperator, diagonal_operator, identity_operator
 from .metrics import AnalyticOracle, quadratic_oracle
 from .problem import BilevelProblem
 
@@ -269,6 +268,23 @@ def classifier_accuracy(ds: Dataset, w: Array) -> float:
     w_mat = np.asarray(w, dtype=float).reshape(ds.n_classes, ds.dim + 1)
     preds = np.argmax(_augment(ds.features) @ w_mat.T, axis=1)
     return float(np.mean(preds == ds.labels))
+
+
+def _content_cache(fn, size: int):
+    """``fn(a)``, read-only, for the last ``size`` contents of ``a`` (FIFO)."""
+    cache: dict[bytes, tuple[Array, ...]] = {}
+
+    def cached(a):
+        a = np.asarray(a, dtype=float)
+        key = a.tobytes()
+        if key not in cache:
+            if len(cache) == size:
+                del cache[next(iter(cache))]
+            cache[key] = fn(a)
+            for arr in cache[key]:
+                arr.flags.writeable = False
+        return cache[key]
+    return cached
 
 
 @dataclass(frozen=True)

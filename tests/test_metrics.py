@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blo import metrics
 from blo.errors import MissingOracleError
 from blo.linalg import cg_solve
 from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, AnalyticOracle,
                          TraceRecord, hypergrad_error, kkt_residual,
-                         kkt_residual_aggregated, lyapunov_value,
-                         quadratic_oracle)
+                         kkt_residual_aggregated, lyapunov_value)
 from blo.problem import aggregate
 from blo.solvers import rhg_hypergradient
 from blo.testbeds import make_quadratic
@@ -107,38 +105,6 @@ class TestOracleSelfConsistency:
         from blo.metrics import quadratic_oracle
         with pytest.raises(ValueError):
             quadratic_oracle(diagonal_operator(np.array([1.0, -1.0])), np.ones(2))
-
-
-class TestQuadraticOracleSolves:
-    def test_repeated_points_solve_once(self, monkeypatch):
-        a_op = make_quadratic(4, spectrum=(0.5, 5.0), seed=3).a_op
-        solves = []
-
-        def counting_cg(op, b, **kw):
-            solves.append(1)
-            return cg_solve(op, b, **kw)
-
-        monkeypatch.setattr(metrics, "cg_solve", counting_cg)
-        orc = quadratic_oracle(a_op, np.ones(4))
-        solves.clear()  # x_star
-        xs = [np.random.default_rng(s).standard_normal(4) for s in range(5)]
-        first = [orc.y_star(x) for x in xs]
-        assert len(solves) == 5
-        for x, y in zip(xs[1:], first[1:]):  # the last four are kept
-            assert orc.y_star(x) is y
-            orc.grad_phi(x)
-            orc.v_star_mu(x, 0.3, 1.0)  # and y_star_mu
-        assert len(solves) == 5
-        assert orc.y_star(xs[0]) is not first[0] and len(solves) == 6
-        for x, y in zip(xs, first):
-            np.testing.assert_array_equal(y, cg_solve(a_op, x, tol=1e-12).x)
-            assert not y.flags.writeable
-
-    def test_in_place_change_of_x_is_a_new_point(self, quad_spd):
-        x = np.ones(4)
-        y1 = quad_spd.oracle.y_star(x).copy()
-        x *= 2.0
-        np.testing.assert_allclose(quad_spd.oracle.y_star(x), 2.0 * y1, rtol=1e-10)
 
 
 class TestHypergradError:
