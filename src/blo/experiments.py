@@ -131,6 +131,14 @@ def execute_run(cfg: ExperimentConfig, run_dir: Path) -> RunSummary:
     return _run_to_dir(built, cfg, run_dir)[1]
 
 
+def _report_failed(summaries: dict[str, RunSummary]) -> bool:
+    """One stderr line per run that did not finish clean; True if there was one."""
+    failed = [(name, s) for name, s in summaries.items() if not s.ok]
+    for name, summary in failed:
+        print(f"run {name}: {summary.status}: {summary.error}", file=sys.stderr)
+    return bool(failed)
+
+
 def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
                     parallelism: int = 1) -> int:
     """Run each config in its own subdirectory; 0 iff every run finished clean.
@@ -150,10 +158,7 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
         futures = [pool.submit(execute_run, cfg, out / name)
                    for cfg, name in zip(configs, names)]
         summaries = [f.result() for f in futures]
-    failed = [(name, s) for name, s in zip(names, summaries) if not s.ok]
-    for name, summary in failed:
-        print(f"run {name}: {summary.status}: {summary.error}", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if _report_failed(dict(zip(names, summaries))) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +239,10 @@ def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out: Pa
         "runs": {label: _summary_payload(run.summary) for label, run in runs.items()},
         "checks": checks, "warnings": warnings, "ok": ok,
     })
+    if not ok:  # a passing study may hold runs meant to fail; it prints nothing
+        _report_failed({label: run.summary for label, run in runs.items()})
+        failed = ", ".join(key for key, passed in checks.items() if not passed)
+        print(f"study {name}: failed checks: {failed}", file=sys.stderr)
     return 0 if ok else 1
 
 

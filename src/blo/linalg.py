@@ -10,6 +10,7 @@ not be thread-safe: each run builds its own problem and uses one thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +51,11 @@ def matrix_operator(a: Array) -> LinearOperator:
     return LinearOperator(m.shape[0], lambda v: m @ v)
 
 
+def _norm(a: Array) -> float:
+    """Euclidean norm of a 1-D float array, bitwise equal to ``np.linalg.norm``."""
+    return math.sqrt(float(a.dot(a)))
+
+
 @dataclass(frozen=True)
 class CGResult:
     x: Array
@@ -79,17 +85,19 @@ def cg_solve(op: LinearOperator, b: Array, tol: float = 1e-10,
     b = np.asarray(b, dtype=float)
     if max_iter is None:
         max_iter = 10 * op.dim + 10
-    b_norm = float(np.linalg.norm(b))
+    b_norm = _norm(b)
     if b_norm == 0.0:
         return CGResult(np.zeros_like(b), 0, True, 0.0)
+    apply = op.apply
+    stop = tol * b_norm
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
-    rs = float(r @ r)
+    rs = float(r.dot(r))
     for it in range(1, max_iter + 1):
-        ap = op.apply(p)
-        pp = float(p @ p)
-        curv = float(p @ ap)
+        ap = apply(p)
+        pp = float(p.dot(p))
+        curv = float(p.dot(ap))
         if curv <= _CURV_FLOOR * pp:
             raise NonPositiveCurvatureError(
                 f"curvature {curv:.3e} along a CG direction with |p|^2 = {pp:.3e}; "
@@ -97,14 +105,14 @@ def cg_solve(op: LinearOperator, b: Array, tol: float = 1e-10,
         step = rs / curv
         x = x + step * p
         r = r - step * ap
-        rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
+        rs_new = float(r.dot(r))
+        if not math.isfinite(rs_new):
             raise DivergenceError("conjugate gradient residual became non-finite")
-        if np.sqrt(rs_new) <= tol * b_norm:
-            return CGResult(x, it, True, float(np.sqrt(rs_new)))
+        if math.sqrt(rs_new) <= stop:
+            return CGResult(x, it, True, math.sqrt(rs_new))
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return CGResult(x, max_iter, False, float(np.sqrt(rs)))
+    return CGResult(x, max_iter, False, math.sqrt(rs))
 
 
 def neumann_apply(op: LinearOperator, b: Array, step: float, terms: int) -> Array:
@@ -120,9 +128,11 @@ def neumann_apply(op: LinearOperator, b: Array, step: float, terms: int) -> Arra
     b = np.asarray(b, dtype=float)
     term = b.copy()
     acc = b.copy()
+    apply = op.apply
     for _ in range(terms):
-        term = term - step * op.apply(term)
-        if not np.all(np.isfinite(term)):
+        term = term - step * apply(term)
+        # one dot first; a finite term whose square overflows passes below
+        if not math.isfinite(float(term.dot(term))) and not np.isfinite(term).all():
             raise DivergenceError("Neumann series accumulation became non-finite")
         acc += term
     return step * acc

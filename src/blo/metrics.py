@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingOracleError
-from .linalg import Array, LinearOperator, cg_solve, gaussian_vector
+from .linalg import Array, LinearOperator, _norm, cg_solve, gaussian_vector
 from .problem import BilevelProblem, aggregate
 
 
@@ -41,7 +41,7 @@ def hypergrad_error(d: Array, oracle: "AnalyticOracle | None", x: Array) -> floa
     """Distance of a hypergradient estimate from the oracle grad phi(x)."""
     if oracle is None:
         raise MissingOracleError("hypergrad_error needs an analytic oracle")
-    return float(np.linalg.norm(d - oracle.grad_phi(x)))
+    return _norm(d - oracle.grad_phi(x))
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,10 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
     All inverse applications go through CG at tolerance 1e-12, so the
     oracle is usable with matrix-free A.  A must be symmetric positive
     definite; a handful of seeded Rayleigh quotients are checked.
+
+    The oracle keeps its last three solves, keyed on the right-hand
+    side's bytes, and hands each caller its own copy; like its problem,
+    it is used by one thread at a time.
     """
     z0 = np.asarray(z0, dtype=float)
     n = a_op.dim
@@ -87,9 +91,18 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
         u = gaussian_vector(n, 1000 + s)
         if float(u @ a_op.apply(u)) <= 0.0:
             raise ValueError("operator failed a positive-definiteness spot check")
+    # rows every step ask x_{k+1} (four times), probe x_k, row x_{k+2}, probe
+    # x_{k+1}: three entries, dropped in insertion order, solve each x once
+    solves: dict[bytes, Array] = {}
 
     def a_inv(w: Array) -> Array:
-        return cg_solve(a_op, w, tol=1e-12).x
+        key = np.asarray(w, dtype=float).tobytes()
+        hit = solves.get(key)
+        if hit is None:
+            hit = solves[key] = cg_solve(a_op, w, tol=1e-12).x
+            if len(solves) > 3:
+                del solves[next(iter(solves))]
+        return hit.copy()
 
     def y_star(x: Array) -> Array:
         return a_inv(x)

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import (CapabilityError, DivergenceError, FieldError,
                      NonPositiveCurvatureError, SingularHessianError)
-from .linalg import Array, LinearOperator, cg_solve, neumann_apply, power_iteration_lmax
+from .linalg import (Array, LinearOperator, _norm, cg_solve, neumann_apply,
+                     power_iteration_lmax)
 from .metrics import AnalyticOracle, TraceRecord, kkt_residual, kkt_residual_aggregated, lyapunov_value
 from .problem import BilevelProblem, Counts, aggregate, counting_problem, psi_weights
 
@@ -119,13 +120,9 @@ def resolve_schedule(cfg: ScheduleConfig, problem: BilevelProblem,
 
 
 def _ensure_finite(vec: Array, name: str) -> None:
-    if not np.isfinite(vec).all():
+    # one dot first; a finite vector whose square overflows passes below
+    if not math.isfinite(float(vec.dot(vec))) and not np.isfinite(vec).all():
         raise DivergenceError(f"iterate {name} became non-finite")
-
-
-def _norm(a: Array) -> float:
-    """Euclidean norm of a 1-D float array, bitwise equal to ``np.linalg.norm``."""
-    return math.sqrt(float(a.dot(a)))
 
 
 @dataclass(slots=True)

@@ -203,7 +203,8 @@ class TestReproduceCommand:
         for flag in ("train", "train-labels", "val", "val-labels"):
             argv += [f"--idx-{flag}", str(tmp_path / flag)]
         assert main(argv) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
         summary = json.loads((out / "summary.json").read_text())
         assert summary["ok"] is False
         assert summary["checks"] == {"all_runs_built": False}
@@ -212,6 +213,12 @@ class TestReproduceCommand:
             assert run["status"] == "error" and run["iterations"] == 0
             assert run["error"].startswith("FileNotFoundError")
             assert (out / label / "summary.json").exists()
+        # one line per failed run, as ``blo run`` prints it, then the failed checks
+        runs = summary["runs"]
+        assert err.splitlines() == [
+            f"run bagdc: error: {runs['bagdc']['error']}",
+            f"run rhg-T100: error: {runs['rhg-T100']['error']}",
+            "study hypercleaning: failed checks: all_runs_built"]
 
     def test_idx_flags_rejected_outside_hypercleaning(self, tmp_path, capsys):
         rc = main(["reproduce", "counterexample", "--out", str(tmp_path / "s"),

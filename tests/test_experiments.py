@@ -9,8 +9,8 @@ import blo
 from blo.config import ProblemSpec, config_to_dict, parse_config
 from blo.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from blo.errors import ConfigError
-from blo.experiments import (STUDIES, build_problem, execute_run, reproduce,
-                             run_experiments)
+from blo.experiments import (STUDIES, Study, _run_study, build_problem,
+                             execute_run, reproduce, run_experiments)
 from blo.metrics import TRACE_HEADER
 
 
@@ -282,6 +282,23 @@ class TestReproduce:
         # recorded before the studies ran through one shared runner
         reproduce(study, tmp_path)
         assert masked_study_digest(tmp_path) == GOLDEN_STUDY_DIGESTS[study]
+
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_failed_runs_printed_only_when_the_study_fails(self, tmp_path, capsys,
+                                                           passed):
+        # a passing study may hold a run meant to fail, as multimin's implicit-cg
+        configs = [quick_config("bad", max_iters=20000, beta=2.5), quick_config("good")]
+        study = Study(configs=lambda seed, idx: configs, columns=(), figures=(),
+                      checks=lambda runs: {"bad_diverged": passed, "good_ran": True})
+        rc = _run_study("toy", study, configs, tmp_path, seed=0)
+        err = capsys.readouterr().err
+        if passed:
+            assert rc == 0 and err == ""
+        else:
+            bad = json.loads((tmp_path / "summary.json").read_text())["runs"]["bad"]
+            assert rc == 1
+            assert err.splitlines() == [f"run bad: diverged: {bad['error']}",
+                                        "study toy: failed checks: bad_diverged"]
 
     def test_study_names_stable(self):
         assert STUDIES == ("counterexample", "eta-sweep", "ll-accuracy",

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blo.errors import DivergenceError, NonPositiveCurvatureError
-from blo.linalg import (LinearOperator, cg_solve, diagonal_operator,
+from blo.linalg import (CGResult, LinearOperator, cg_solve, diagonal_operator,
                         gaussian_vector, identity_operator, matrix_operator,
                         neumann_apply, power_iteration_lmax)
 
@@ -168,3 +170,147 @@ class TestOperators:
     def test_call_forwards_to_apply(self):
         op = diagonal_operator(np.array([2.0, 3.0]))
         np.testing.assert_allclose(op(np.ones(2)), [2.0, 3.0])
+
+
+def reference_cg_solve(op, b, tol=1e-10, max_iter=None):
+    """``cg_solve`` before its loop was made lean (NumPy scalar functions,
+    ``tol * ||b||`` and ``op.apply`` looked up every iteration)."""
+    b = np.asarray(b, dtype=float)
+    if max_iter is None:
+        max_iter = 10 * op.dim + 10
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return CGResult(np.zeros_like(b), 0, True, 0.0)
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    for it in range(1, max_iter + 1):
+        ap = op.apply(p)
+        pp = float(p @ p)
+        curv = float(p @ ap)
+        if curv <= 1e-14 * pp:
+            raise NonPositiveCurvatureError(
+                f"curvature {curv:.3e} along a CG direction with |p|^2 = {pp:.3e}; "
+                "operator is not positive definite")
+        step = rs / curv
+        x = x + step * p
+        r = r - step * ap
+        rs_new = float(r @ r)
+        if not np.isfinite(rs_new):
+            raise DivergenceError("conjugate gradient residual became non-finite")
+        if np.sqrt(rs_new) <= tol * b_norm:
+            return CGResult(x, it, True, float(np.sqrt(rs_new)))
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return CGResult(x, max_iter, False, float(np.sqrt(rs)))
+
+
+def reference_neumann_apply(op, b, step, terms):
+    """``neumann_apply`` before its finiteness check took one dot first."""
+    b = np.asarray(b, dtype=float)
+    term = b.copy()
+    acc = b.copy()
+    for _ in range(terms):
+        term = term - step * op.apply(term)
+        if not np.all(np.isfinite(term)):
+            raise DivergenceError("Neumann series accumulation became non-finite")
+        acc += term
+    return step * acc
+
+
+def counted(op, calls):
+    """``op`` recording each product in ``calls``."""
+    def apply(v):
+        calls.append(v.copy())
+        return op.apply(v)
+    return LinearOperator(op.dim, apply)
+
+
+def outcome(fn, op, *args):
+    """What ``fn(op, *args)`` returned or raised, and the products it took."""
+    calls = []
+    with np.errstate(all="ignore"):
+        try:
+            result = ("ok", fn(counted(op, calls), *args))
+        except (DivergenceError, NonPositiveCurvatureError) as exc:
+            result = (type(exc), str(exc))
+    return result, [c.tobytes() for c in calls]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def random_operator(kind, dim, seed):
+    """SPD diagonal or dense operators, and diagonals with one entry that is
+    not positive (curvature error) or not finite (divergence)."""
+    rng = np.random.default_rng(seed)
+    # eigenvalues over up to four decades, so CG takes many steps to converge
+    diag = np.exp(rng.uniform(np.log(5e-4), np.log(5.0), size=dim))
+    if kind == "dense":
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        return matrix_operator(q @ np.diag(diag) @ q.T)
+    bad = {"singular": 0.0, "indefinite": -1.0, "inf": np.inf, "nan": np.nan}
+    if kind in bad:
+        diag[seed % dim] = bad[kind]
+    return diagonal_operator(diag)
+
+
+OPERATOR_KINDS = ["diagonal", "dense", "singular", "indefinite", "inf", "nan"]
+
+
+class TestLeanLoopsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(OPERATOR_KINDS), dim=st.integers(1, 40),
+           seed=st.integers(0, 10_000), tol=st.sampled_from([1e-4, 1e-8, 1e-12]),
+           max_iter=st.one_of(st.none(), st.integers(1, 8)),
+           scale=st.sampled_from([0.0, 1.0, 1e-150, 1e150, 1e160]))
+    def test_cg_solve_bitwise(self, kind, dim, seed, tol, max_iter, scale):
+        op = random_operator(kind, dim, seed)
+        b = scale * np.random.default_rng(seed + 1).standard_normal(dim)
+        got, got_calls = outcome(cg_solve, op, b, tol, max_iter)
+        want, want_calls = outcome(reference_cg_solve, op, b, tol, max_iter)
+        assert got_calls == want_calls  # raised, if at all, at the same product
+        assert got[0] == want[0]
+        if got[0] != "ok":
+            assert got[1] == want[1]  # same message
+            return
+        res, ref = got[1], want[1]
+        assert bits(res.x) == bits(ref.x)
+        assert res.iterations == ref.iterations
+        assert res.converged is ref.converged
+        assert bits(res.residual_norm) == bits(ref.residual_norm)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(OPERATOR_KINDS), dim=st.integers(1, 12),
+           seed=st.integers(0, 10_000), terms=st.integers(0, 30),
+           step=st.sampled_from([0.05, 0.19, 0.5, 3.0, 1e9]),
+           scale=st.sampled_from([0.0, 1.0, 1e150, 1e160]))
+    def test_neumann_apply_bitwise(self, kind, dim, seed, terms, step, scale):
+        op = random_operator(kind, dim, seed)
+        b = scale * np.random.default_rng(seed + 1).standard_normal(dim)
+        got, got_calls = outcome(neumann_apply, op, b, step, terms)
+        want, want_calls = outcome(reference_neumann_apply, op, b, step, terms)
+        assert got_calls == want_calls
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert bits(got[1]) == bits(want[1])
+        else:
+            assert got[1] == want[1]
+
+    def test_neumann_passes_finite_terms_whose_squares_overflow(self):
+        b = np.array([1e160, -2e160, 3e160])
+        op = diagonal_operator(np.full(3, 0.5))
+        with np.errstate(over="ignore"):
+            out = neumann_apply(op, b, 1.0, 5)
+        # every term, b / 2^j, squares past the largest float
+        assert float(np.abs(b / 32).max()) > math.sqrt(np.finfo(float).max)
+        assert bits(out) == bits(reference_neumann_apply(op, b, 1.0, 5))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_neumann_still_raises_on_a_nonfinite_term(self, bad):
+        b = np.array([1e160, bad, 3e160])
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError, match="Neumann series"):
+            neumann_apply(diagonal_operator(np.full(3, 0.5)), b, 1.0, 1)

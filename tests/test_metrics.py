@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blo.metrics
 from blo.errors import MissingOracleError
-from blo.linalg import cg_solve
+from blo.linalg import cg_solve, matrix_operator
 from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, AnalyticOracle,
                          TraceRecord, hypergrad_error, kkt_residual,
-                         kkt_residual_aggregated, lyapunov_value)
-from blo.problem import aggregate
-from blo.solvers import rhg_hypergradient
+                         kkt_residual_aggregated, lyapunov_value, quadratic_oracle)
+from blo.problem import Counts, aggregate
+from blo.solvers import (MethodSpec, ScheduleConfig, SolverState, StopRule,
+                         _make_record, rhg_hypergradient, run_solver)
 from blo.testbeds import make_quadratic
 
 
@@ -224,3 +226,75 @@ def reference_csv_row(rec):
         else:
             cells.append(repr(float(val)))
     return ",".join(cells)
+
+
+def _spd_operator(n, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return matrix_operator(q @ np.diag(rng.uniform(0.5, 5.0, n)) @ q.T)
+
+
+_MU_ARGS = (0.3, 2.0)  # (mu, lam)
+_ORACLE_FIELDS = ("y_star", "phi", "grad_phi", "y_star_mu", "v_star_mu", "grad_phi_mu")
+
+
+def _ask(oracle, field, x):
+    args = (x, *_MU_ARGS) if field.endswith("_mu") else (x,)
+    return getattr(oracle, field)(*args)
+
+
+class TestQuadraticOracleMemo:
+    """``a_inv`` keeps its last three solves and hands out copies."""
+
+    def test_returned_arrays_are_the_callers_own(self, quad_spd):
+        x = np.array([0.5, -1.0, 2.0, 0.25])
+        first = quad_spd.oracle.y_star(x)
+        want = first.copy()
+        first[:] = 7.0
+        np.testing.assert_array_equal(quad_spd.oracle.y_star(x), want)
+        assert quad_spd.oracle.y_star(x) is not quad_spd.oracle.y_star(x)
+
+    def test_one_solve_per_distinct_point(self, monkeypatch):
+        bed = make_quadratic(5, spectrum=(0.5, 5.0), seed=2)
+        solved = []
+
+        def spy(op, b, *args, **kwargs):
+            solved.append(np.asarray(b, dtype=float).tobytes())
+            return cg_solve(op, b, *args, **kwargs)
+
+        monkeypatch.setattr(blo.metrics, "cg_solve", spy)
+        rng = np.random.default_rng(5)
+        x0, x1, y, v, d = (rng.standard_normal(5) for _ in range(5))
+        # a trace row at x1, the probe of that step at x0, the next one at x1
+        rec = _make_record(bed.problem, bed.oracle, SolverState(x1, y, v, k=1), 0.1,
+                           0.2, 0.1, 0.1, 0.1, 0.0, Counts(), 1.5)
+        assert None not in (rec.grad_phi_norm, rec.dist_y, rec.lyapunov)
+        hypergrad_error(d, bed.oracle, x0)
+        hypergrad_error(d, bed.oracle, x1)
+        assert solved == [x1.tobytes(), x0.tobytes()]
+
+        # a probed run with a row every step: every right-hand side is solved
+        # once, though x_{k+1} comes back after x_k and x_{k+2}
+        solved.clear()
+        _, summary = run_solver(
+            bed.problem, MethodSpec("rhg", T=5), ScheduleConfig(alpha=0.1, beta=0.2, eta=0.2),
+            StopRule(max_iters=20), bed.oracle,
+            probe=lambda k, before, after, d: hypergrad_error(d, bed.oracle, before.x))
+        assert summary.iterations == 20
+        assert len(solved) == len(set(solved)) == 21  # x_0 .. x_20
+
+    @settings(max_examples=60, deadline=None)
+    @given(asks=st.lists(st.tuples(st.sampled_from(_ORACLE_FIELDS), st.integers(0, 3)),
+                         min_size=1, max_size=16),
+           seed=st.integers(0, 1000))
+    def test_values_match_a_memo_free_oracle(self, asks, seed):
+        a_op = _spd_operator(6, seed)
+        z0 = np.random.default_rng(seed + 1).standard_normal(6)
+        xs = [np.random.default_rng([seed, i]).standard_normal(6) for i in range(4)]
+        oracle = quadratic_oracle(a_op, z0)
+        for field, i in asks:
+            got = _ask(oracle, field, xs[i])
+            # a fresh oracle has nothing kept: every value is a new solve
+            want = _ask(quadratic_oracle(a_op, z0), field, xs[i])
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert oracle.x_star.tobytes() == quadratic_oracle(a_op, z0).x_star.tobytes()

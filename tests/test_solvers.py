@@ -10,7 +10,7 @@ from blo.errors import DivergenceError, SingularHessianError
 from blo.linalg import cg_solve
 from blo.problem import BilevelProblem, aggregate
 from blo.solvers import (METHOD_NAMES, MethodSpec, RunSummary, ScheduleConfig,
-                         SolverState, StopRule, bagdc_step,
+                         SolverState, StopRule, _ensure_finite, bagdc_step,
                          bda_hypergradient, implicit_cg_hypergradient,
                          implicit_ns_hypergradient, nosa_step, resolve_schedule,
                          rhg_hypergradient, run_solver, schedule_at)
@@ -399,6 +399,51 @@ class TestFinitenessCheck:
                                     StopRule(max_iters=5000), quad.oracle)
             assert np.geterr() == before
         assert summary.status == status
+
+
+def reference_ensure_finite(vec, name):
+    """``_ensure_finite`` before it took one dot first."""
+    if not np.isfinite(vec).all():
+        raise DivergenceError(f"iterate {name} became non-finite")
+
+
+def raised(check, vec):
+    try:
+        check(vec, "y")
+    except DivergenceError as exc:
+        return str(exc)
+    return None
+
+
+class TestEnsureFinite:
+    """The inner-loop check (unrolling, Neumann, implicit and NOSA steps) takes
+    one dot first and raises exactly when an entry is not finite."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vec=st.lists(st.one_of(st.floats(), st.sampled_from([1e160, -3e200])),
+                        min_size=1, max_size=8))
+    def test_raises_exactly_where_the_reference_does(self, vec):
+        vec = np.array(vec)
+        with np.errstate(over="ignore"):
+            assert raised(_ensure_finite, vec) == raised(reference_ensure_finite, vec)
+
+    @pytest.mark.parametrize("bad", [None, np.inf, -np.inf, np.nan])
+    def test_finite_vectors_whose_squares_overflow_pass(self, bad):
+        vec = np.array([1e160, -2e160, 3e160])
+        if bad is not None:
+            vec[1] = bad
+        with np.errstate(over="ignore"):
+            assert raised(_ensure_finite, vec) == (
+                None if bad is None else "iterate y became non-finite")
+
+    def test_unrolling_passes_huge_finite_iterates(self, quad):
+        y0 = np.array([1e160, -2e160])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = rhg_hypergradient(quad.problem, np.zeros(2), y0, 3, 1e-3)
+            assert np.isfinite(res.y_out).all() and np.isfinite(res.d).all()
+            with pytest.raises(DivergenceError, match="iterate y became non-finite"):
+                rhg_hypergradient(quad.problem, np.zeros(2), np.array([1e160, np.inf]),
+                                  3, 1e-3)
 
 
 class TestNosa:
