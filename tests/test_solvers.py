@@ -809,16 +809,14 @@ class TestGoldenTrace:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "eda6a97531a831c2918b50b0f103269182befea37ad94704b3a64c90da105d71")
 
-    def test_hypercleaning_trace(self):
-        # SHA-256 of the trace rows (without wall_seconds) of a small
-        # synthetic hypercleaning problem under bagdc and rhg, both with
-        # the schedule resolved by power iteration; recorded before the
-        # oracle cached its train forward pass.  The oracle runs matrix
-        # products, so the digest assumes the same BLAS build and one
-        # BLAS thread's summation order
-        pool = synth_blobs(3, 5, 30, 3.0, seed=11)
-        train, val = split_dataset(pool, 60, seed=12)
-        hc = hypercleaning_problem(corrupt_labels(train, 0.3, seed=13), val)
+    @staticmethod
+    def hypercleaning_trace_digest(classes, dim, per_class, n_train, seed):
+        """SHA-256 of the trace rows (without wall_seconds) of a synthetic
+        hypercleaning problem under bagdc and rhg, both with the schedule
+        resolved by power iteration."""
+        pool = synth_blobs(classes, dim, per_class, 3.0, seed=seed)
+        train, val = split_dataset(pool, n_train, seed=seed + 1)
+        hc = hypercleaning_problem(corrupt_labels(train, 0.3, seed=seed + 2), val)
         sched = ScheduleConfig(mode="strongly-convex")
         rows = []
         for method, iters, every in ((MethodSpec("bagdc"), 200, 10),
@@ -831,8 +829,21 @@ class TestGoldenTrace:
             ",".join(c for i, c in enumerate(r.csv_row().split(",")) if i != 1) + "\n"
             for r in rows)
         assert len(rows) == 31
-        assert hashlib.sha256(text.encode()).hexdigest() == (
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_hypercleaning_trace(self):
+        # recorded before the oracle cached its train forward pass.  The
+        # oracle runs matrix products, so the digest assumes the same BLAS
+        # build and one BLAS thread's summation order
+        assert self.hypercleaning_trace_digest(3, 5, 30, 60, seed=11) == (
             "8b2abde5a62ef2af8f2527e98104c806727d85eb56a83fb1a73d8843458af15e")
+
+    def test_hypercleaning_trace_ten_classes(self):
+        # the study's class count; recorded before the softmax took its row
+        # max from a class-major copy, the sigmoid dropped its masks and the
+        # oracle cached its direction product
+        assert self.hypercleaning_trace_digest(10, 4, 12, 80, seed=21) == (
+            "22c27b5a876aaab8f4e677fc36ff8ccced3959f35b3c39cebf1ed69459c74874")
 
 
 class TestStepSummability:

@@ -224,119 +224,253 @@ def hp():
     return hypercleaning_problem(corrupt_labels(tr, 0.3, seed=8), va)
 
 
-def reference_lower_callbacks(train, c=1e-3):
-    """The lower-level callbacks as written before they shared a forward
-    pass: every call recomputes the train softmax and the sigmoid."""
-    a = np.hstack([train.features, np.ones((train.n, 1))])
+def reference_sigmoid(z):
+    """The sigmoid as written before it dropped its masks."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_softmax(z):
+    """The softmax as written before it took its row max class-major."""
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_callbacks(train, val, n_classes, c=1e-3):
+    """The callbacks as written before they shared a forward pass: every
+    call recomputes the softmax, the sigmoid and the direction product,
+    with the row max taken row by row."""
+    a, a_val = (np.hstack([ds.features, np.ones((ds.n, 1))]) for ds in (train, val))
     labels, n, rows = train.labels, train.n, np.arange(train.n)
 
     def unpack(w):
-        return np.asarray(w, dtype=float).reshape(train.n_classes, train.dim + 1)
+        return np.asarray(w, dtype=float).reshape(n_classes, train.dim + 1)
 
-    def sigmoid(z):
-        out = np.empty_like(z, dtype=float)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-
-    def softmax(z):
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-    def ll_value(x, w):
+    def ce_losses(w, a, labels):
         z = a @ unpack(w).T
         zmax = z.max(axis=1, keepdims=True)
-        ce = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1)) - z[rows, labels]
-        return float(sigmoid(x) @ ce / n + 0.5 * c * (w @ w))
+        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        return lse - z[np.arange(a.shape[0]), labels]
+
+    def ll_value(x, w):
+        return float(reference_sigmoid(x) @ ce_losses(w, a, labels) / n
+                     + 0.5 * c * (w @ w))
+
+    def ul_value(x, w):
+        return float(np.mean(ce_losses(w, a_val, val.labels)))
 
     def grad_y_ll(x, w):
-        r = softmax(a @ unpack(w).T)
+        r = reference_softmax(a @ unpack(w).T)
         r[rows, labels] -= 1.0
-        g = (r * sigmoid(x)[:, None]).T @ a / n
+        g = (r * reference_sigmoid(x)[:, None]).T @ a / n
         return g.ravel() + c * w
 
+    def grad_y_ul(x, w):
+        r = reference_softmax(a_val @ unpack(w).T)
+        r[np.arange(val.n), val.labels] -= 1.0
+        return (r.T @ a_val / val.n).ravel()
+
     def hvp_yy_ll(x, w, u):
-        pm = softmax(a @ unpack(w).T)
+        pm = reference_softmax(a @ unpack(w).T)
         zu = a @ unpack(u).T
         t = pm * zu
         t -= pm * t.sum(axis=1, keepdims=True)
-        t *= sigmoid(x)[:, None]
+        t *= reference_sigmoid(x)[:, None]
         return (t.T @ a / n).ravel() + c * np.asarray(u, dtype=float)
 
     def jvp_xy_ll(x, w, u):
-        r = softmax(a @ unpack(w).T)
+        r = reference_softmax(a @ unpack(w).T)
         r[rows, labels] -= 1.0
         zu = a @ unpack(u).T
-        s = sigmoid(np.asarray(x, dtype=float))
+        s = reference_sigmoid(np.asarray(x, dtype=float))
         return s * (1.0 - s) * np.sum(r * zu, axis=1) / n
 
-    return SimpleNamespace(ll_value=ll_value, grad_y_ll=grad_y_ll,
+    return SimpleNamespace(ll_value=ll_value, ul_value=ul_value,
+                           grad_y_ll=grad_y_ll, grad_y_ul=grad_y_ul,
                            hvp_yy_ll=hvp_yy_ll, jvp_xy_ll=jvp_xy_ll)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 CACHE_TRAIN, CACHE_VAL = split_dataset(synth_blobs(3, 4, 10, 3.0, seed=6), 20, seed=7)
-LOWER_CALLBACKS = ("ll_value", "grad_y_ll", "hvp_yy_ll", "jvp_xy_ll")
+CALLBACKS = ("ll_value", "grad_y_ll", "hvp_yy_ll", "jvp_xy_ll", "ul_value", "grad_y_ul")
 
 
-def call_lower(callbacks, kind, x, w, u):
+def cache_reference():
+    return reference_callbacks(CACHE_TRAIN, CACHE_VAL, CACHE_TRAIN.n_classes)
+
+
+def call(callbacks, kind, x, w, u):
     fn = getattr(callbacks, kind)
     return fn(x, w, u) if kind in ("hvp_yy_ll", "jvp_xy_ll") else fn(x, w)
+
+
+def tie_datasets(n_classes, rng, n_train=24, n_val=12, dim=3):
+    """Train and val sets in which every third sample has zero features,
+    so its logits are exactly the bias column."""
+    features = rng.standard_normal((n_train + n_val, dim))
+    features[::3] = 0.0
+    labels = rng.integers(0, n_classes, n_train + n_val)
+    clean = np.ones(n_train + n_val, dtype=bool)
+    return (Dataset(features[:n_train], labels[:n_train], n_classes, clean[:n_train]),
+            Dataset(features[n_train:], labels[n_train:], n_classes, clean[n_train:]))
+
+
+def spy_direction_products(monkeypatch):
+    """Count the misses of the hypercleaning direction cache, the one
+    content cache whose entry is a single array; patch before building."""
+    content_cache = testbeds._content_cache
+    misses = []
+
+    def spying_cache(fn, size):
+        def counted(a):
+            out = fn(a)
+            if len(out) == 1:
+                misses.append(1)
+            return out
+        return content_cache(counted, size)
+
+    monkeypatch.setattr(testbeds, "_content_cache", spying_cache)
+    return misses
+
+
+def count_per_step(calls, problem, method, trace_every):
+    """Entries added to ``calls`` in each step of a 30-step run, with the
+    step's trace row if it has one."""
+    per_step = []
+
+    def probe(k, before, after, d):
+        per_step.append(len(calls) - sum(per_step))
+
+    run_solver(problem, method, ScheduleConfig(alpha=0.5, beta=0.5, eta=0.5),
+               StopRule(max_iters=30), probe=probe, trace_every=trace_every)
+    return per_step
+
+
+class TestHyperCleaningKernels:
+    def test_sigmoid_matches_masked_form_on_special_values(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e3, -1e3,
+                      745.0, -745.0, 36.0, -36.0, 5e-324, -5e-324])
+        assert same_bits(testbeds._sigmoid(z), reference_sigmoid(z))
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50))
+    def test_sigmoid_matches_masked_form(self, z):
+        z = np.array(z)
+        assert same_bits(testbeds._sigmoid(z), reference_sigmoid(z))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_classes=st.sampled_from([2, 3, 8, 10, 13]),
+           cells=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e3, -1e3]),
+                          min_size=13 * 6, max_size=13 * 6),
+           noise=st.floats(-1e3, 1e3))
+    def test_softmax_matches_row_major_max(self, n_classes, cells, noise):
+        # few distinct cells, so most rows hold exact ties and signed zeros
+        z = np.array(cells[:6 * n_classes]).reshape(6, n_classes)
+        z[0, 0] = noise
+        assert same_bits(testbeds._softmax(z), reference_softmax(z))
 
 
 class TestHyperCleaningCache:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           calls=st.lists(st.tuples(st.sampled_from(LOWER_CALLBACKS),
+           calls=st.lists(st.tuples(st.sampled_from(CALLBACKS),
                                     st.integers(0, 2), st.integers(0, 3),
                                     st.integers(0, 1)),
                           min_size=1, max_size=40))
     def test_interleaved_calls_match_reference(self, seed, calls):
         # a fresh problem (cold caches) against the uncached formulas, at
-        # three x and four w in any order, so both the hits and the
+        # three x, four w and two u in any order, so both the hits and the
         # first-in-first-out evictions are exercised
         problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
-        ref = reference_lower_callbacks(CACHE_TRAIN)
+        ref = cache_reference()
         rng = np.random.default_rng(seed)
         xs = [rng.standard_normal(problem.n) for _ in range(3)]
         ws = [0.5 * rng.standard_normal(problem.m) for _ in range(4)]
         us = [rng.standard_normal(problem.m) for _ in range(2)]
         for kind, i, j, k in calls:
-            got = call_lower(problem, kind, xs[i], ws[j], us[k])
-            assert np.array_equal(got, call_lower(ref, kind, xs[i], ws[j], us[k])), kind
+            got = call(problem, kind, xs[i], ws[j], us[k])
+            assert same_bits(got, call(ref, kind, xs[i], ws[j], us[k])), kind
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_classes=st.sampled_from([2, 3, 8, 10, 13]),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    def test_callbacks_match_reference_across_class_counts(self, n_classes,
+                                                           seed, scale):
+        # biases drawn from four values, so the zero-feature samples hold
+        # exact logit ties and zeros; two classes share their weights, and
+        # x holds signed zeros
+        rng = np.random.default_rng(seed)
+        train, val = tie_datasets(n_classes, rng)
+        problem = hypercleaning_problem(train, val).problem
+        ref = reference_callbacks(train, val, n_classes)
+        w = scale * rng.standard_normal((n_classes, train.dim + 1))
+        w[:, -1] = np.array([0.0, -0.0, 0.5 * scale, -scale])[
+            rng.integers(0, 4, n_classes)]
+        w[1] = w[0]
+        w = w.ravel()
+        x = scale * rng.standard_normal(problem.n)
+        x[::5], x[1::5] = 0.0, -0.0
+        us = [rng.standard_normal(problem.m) for _ in range(2)]
+        for kind in CALLBACKS:
+            for u in (us[0], us[0], us[1]):
+                assert same_bits(call(problem, kind, x, w, u),
+                                 call(ref, kind, x, w, u)), kind
 
     def test_in_place_changes_are_seen(self):
         problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
-        ref = reference_lower_callbacks(CACHE_TRAIN)
+        ref = cache_reference()
         rng = np.random.default_rng(9)
         x = rng.standard_normal(problem.n)
         w = 0.5 * rng.standard_normal(problem.m)
         u = rng.standard_normal(problem.m)
-        for kind in LOWER_CALLBACKS:
-            call_lower(problem, kind, x, w, u)
+
+        def check():
+            for kind in CALLBACKS:
+                assert same_bits(call(problem, kind, x, w, u),
+                                 call(ref, kind, x, w, u)), kind
+
+        check()
         w += 0.25
-        for kind in LOWER_CALLBACKS:
-            assert np.array_equal(call_lower(problem, kind, x, w, u),
-                                  call_lower(ref, kind, x, w, u)), kind
+        check()
         x[::2] *= -1.0
-        for kind in LOWER_CALLBACKS:
-            assert np.array_equal(call_lower(problem, kind, x, w, u),
-                                  call_lower(ref, kind, x, w, u)), kind
+        check()
+        u[1::2] *= -0.5
+        check()
 
     def test_returned_arrays_are_the_callers(self):
+        # the second call of each kind, and jvp after hvp at the same u,
+        # are cache hits; their outputs are fresh and writable all the same
         problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
-        ref = reference_lower_callbacks(CACHE_TRAIN)
+        ref = cache_reference()
         rng = np.random.default_rng(10)
         x = rng.standard_normal(problem.n)
         w = 0.5 * rng.standard_normal(problem.m)
         u = rng.standard_normal(problem.m)
-        for kind in ("grad_y_ll", "hvp_yy_ll", "jvp_xy_ll"):
-            out = call_lower(problem, kind, x, w, u)
-            out[:] = np.nan
-            assert np.array_equal(call_lower(problem, kind, x, w, u),
-                                  call_lower(ref, kind, x, w, u)), kind
+        outs = []
+        for kind in ("grad_y_ll", "hvp_yy_ll", "jvp_xy_ll", "grad_y_ul"):
+            for _ in range(2):
+                out = call(problem, kind, x, w, u)
+                assert same_bits(out, call(ref, kind, x, w, u)), kind
+                assert out.flags.writeable, kind
+                assert not any(np.shares_memory(out, o) for o in outs), kind
+                outs.append(out)
+                out[:] = np.nan
+
+    def test_cached_arrays_are_read_only(self):
+        cached = testbeds._content_cache(lambda a: (2.0 * a, a + 1.0), 1)
+        for arr in cached(np.ones(3)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_one_train_softmax_per_bagdc_step(self, monkeypatch):
         problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
@@ -350,16 +484,22 @@ class TestHyperCleaningCache:
             return softmax(z)
 
         monkeypatch.setattr(testbeds, "_softmax", counting_softmax)
-        per_step = []
-
-        def probe(k, before, after, d):
-            per_step.append(len(train_calls) - sum(per_step))
-
-        # one trace row per step: the KKT residual asks at the new y too
-        run_solver(problem, MethodSpec("bagdc"),
-                   ScheduleConfig(alpha=0.5, beta=0.5, eta=0.5),
-                   StopRule(max_iters=30), probe=probe, trace_every=1)
+        # one trace row per step: its KKT residual asks at the new y too
+        per_step = count_per_step(train_calls, problem, MethodSpec("bagdc"), 1)
         assert per_step == [2] + [1] * 29
+
+    @pytest.mark.parametrize("method, expected", [
+        # jvp and hvp at each reverse step's u; a trace row asks at v = 0
+        (MethodSpec("rhg", T=4), [5] + [4] * 28 + [5]),
+        # hvp at v, which the last step's jvp asked at, then jvp at v+; a
+        # trace row asks at v+ again
+        (MethodSpec("bagdc"), [2] + [1] * 29),
+    ], ids=["rhg", "bagdc"])
+    def test_direction_products_per_step(self, monkeypatch, method, expected):
+        products = spy_direction_products(monkeypatch)
+        problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
+        # trace rows, with their KKT residual's products, at k = 0 and 29
+        assert count_per_step(products, problem, method, 30) == expected
 
 
 class TestHyperCleaning:
