@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute the runs in a JSON config")
     p_run.add_argument("config", help="path to a JSON config file")
     p_run.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="max concurrent runs (default 1)")
+                       help="max runs at once, one process each (default 1)")
     p_run.add_argument("--out", default="results", metavar="DIR",
                        help="output directory (default ./results)")
 

@@ -12,8 +12,8 @@ CSV, SVG figures and summary.
 from __future__ import annotations
 
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -139,10 +139,41 @@ def _report_failed(summaries: dict[str, RunSummary]) -> bool:
     return bool(failed)
 
 
+def _check_parallel(parallel: int) -> None:
+    if parallel < 1:
+        raise ConfigError(f"--parallel must be at least 1, got {parallel}")
+
+
+def _share(fn: Callable, items: list) -> None:
+    """A worker's initializer: what ``_call_shared`` runs."""
+    global _shared
+    _shared = fn, items
+
+
+def _call_shared(i: int):
+    fn, items = _shared
+    return fn(items[i])
+
+
+def _map_runs(fn: Callable, items: list, parallel: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``parallel`` forked processes that
+    inherit ``fn`` and ``items`` (which hold lambdas); only indices and results are
+    pickled.  One worker, or a platform other than Linux, runs inline."""
+    workers = min(parallel, len(items))
+    if workers <= 1 or not sys.platform.startswith("linux"):
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_share, initargs=(fn, items)) as pool:
+        return list(pool.map(_call_shared, range(len(items))))
+
+
 def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
                     parallelism: int = 1) -> int:
     """Run each config in its own subdirectory; 0 iff every run finished clean.
     Each run that did not gets one stderr line: its name, status and error."""
+    _check_parallel(parallelism)
     if not configs:
         return 0
     out = Path(out_dir)
@@ -152,12 +183,8 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
         names.append(cfg.name if cfg.name is not None else f"run-{i:03d}")
     if len(set(names)) != len(names):
         raise ConfigError("run names collide; give sweep entries distinct names")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(execute_run, cfg, out / name)
-                   for cfg, name in zip(configs, names)]
-        summaries = [f.result() for f in futures]
+    jobs = [(cfg, out / name) for cfg, name in zip(configs, names)]
+    summaries = _map_runs(lambda job: execute_run(*job), jobs, parallelism)
     return 1 if _report_failed(dict(zip(names, summaries))) else 0
 
 
@@ -201,24 +228,31 @@ class Study:
     rows: Callable[[StudyRun], list[str]] | None = None
     seed: int = 0
     takes_idx: bool = False
+    # one process per run on the usable CPUs; off where an output reads one run's
+    # clock alone, runs are too short to pay for forks, or a profiler should see them
+    pool: bool = False
 
 
 def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out: Path,
-               seed: int) -> int:
+               seed: int, parallel: int = 1) -> int:
     _write_json(out / "config.json", {"runs": [config_to_dict(c) for c in configs]})
     runs: dict[str, StudyRun] = {}
-    rows: list[str] = []
     for cfg in configs:
         built, failed = _build_or_fail(cfg, out / cfg.name)
-        run = runs[cfg.name] = StudyRun(cfg, built, summary=failed)
-        if failed is not None:
-            continue
+        runs[cfg.name] = StudyRun(cfg, built, summary=failed)
+    todo = [run for run in runs.values() if run.built is not None]
+
+    def execute(run: StudyRun) -> tuple:  # in a worker process when parallel > 1
         probe = study.probe(run) if study.probe is not None else None
-        run.state, run.summary, run.records = _run_to_dir(
-            run.built, cfg, out / cfg.name, probe=probe)
+        return (*_run_to_dir(run.built, run.cfg, out / run.cfg.name, probe=probe),
+                run.probed)
+
+    rows: list[str] = []
+    for run, result in zip(todo, _map_runs(execute, todo, parallel)):
+        run.state, run.summary, run.records, run.probed = result
         if study.rows is not None:
             rows += study.rows(run)
-        rows += [f"{cfg.name},{column},{rec.k},{rec.wall_seconds!r},{value!r}"
+        rows += [f"{run.cfg.name},{column},{rec.k},{rec.wall_seconds!r},{value!r}"
                  for rec in run.records for column in study.columns
                  if (value := getattr(rec, column)) is not None]
     with open(out / "comparison.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -559,18 +593,24 @@ _STUDIES: dict[str, Study] = {
                         _probe_series(0, 3))),
         checks=_hypercleaning_checks,
         seed=1,
-        takes_idx=True),
+        takes_idx=True,
+        pool=True),  # two long runs; the check compares clocks that tick side by side
 }
 
 STUDIES = tuple(_STUDIES)
 
 
 def reproduce(study: str, out_dir, seed: int | None = None,
-              idx: dict[str, str] | None = None) -> int:
-    """Run a pre-baked study into ``out_dir``; 0 iff its checks all hold."""
+              idx: dict[str, str] | None = None, parallel: int | None = None) -> int:
+    """Run a pre-baked study into ``out_dir``; 0 iff its checks all hold.
+    ``parallel`` overrides the study's choice of worker processes."""
     spec = _STUDIES.get(study)
     if spec is None:
         raise ConfigError(f"unknown study {study!r} (expected one of {STUDIES})")
+    if parallel is None:
+        parallel = len(os.sched_getaffinity(0)) if spec.pool and hasattr(
+            os, "sched_getaffinity") else 1
+    _check_parallel(parallel)
     if idx and not spec.takes_idx:
         raise ConfigError("IDX data paths only apply to the hypercleaning study")
     seed = spec.seed if seed is None else seed
@@ -580,4 +620,4 @@ def reproduce(study: str, out_dir, seed: int | None = None,
         raise ConfigError(str(exc)) from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _run_study(study, spec, configs, out, seed)
+    return _run_study(study, spec, configs, out, seed, parallel)

@@ -5,7 +5,7 @@ Vectors are plain 1-D float64 numpy arrays.  Operators carry only a
 dimension and a matvec, so the same code path serves explicit test
 matrices and Hessian-vector oracles alike.  Every function here is pure
 and calls its operator only from the calling thread, so operators need
-not be thread-safe: each run builds its own problem and uses one thread.
+not be thread-safe: one process per run, and each run its own problem.
 """
 
 from __future__ import annotations

@@ -55,6 +55,13 @@ class TestRunCommand:
         assert (out / "a" / "summary.json").exists()
         assert (out / "b" / "summary.json").exists()
 
+    def test_parallel_below_one_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUAD_RUN)
+        out = tmp_path / "results"
+        assert main(["run", cfg, "--parallel", "0", "--out", str(out)]) == 2
+        assert "config error: --parallel must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, QUAD_RUN)
         out = tmp_path / "results"

@@ -1,6 +1,14 @@
+import concurrent.futures
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +17,7 @@ import blo
 from blo.config import ProblemSpec, config_to_dict, parse_config
 from blo.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from blo.errors import ConfigError
-from blo.experiments import (STUDIES, Study, _run_study, build_problem,
+from blo.experiments import (_STUDIES, STUDIES, Study, _run_study, build_problem,
                              execute_run, reproduce, run_experiments)
 from blo.metrics import TRACE_HEADER
 
@@ -29,14 +37,15 @@ def quick_config(name=None, max_iters=20, beta=0.5):
     return parse_config(json.dumps(doc))[0]
 
 
-def masked_study_digest(out):
+def masked_study_digest(out, timed_svgs=("fig_scaling.svg",)):
     """SHA-256 of a study's outputs with every wall-clock figure left out.
 
     Covers config.json, the study summary without the runs'
     ``wall_seconds``, each run's trace without its ``wall_seconds``
     column, comparison.csv with the ``wall_seconds`` cells and the
     ``seconds_per_iteration`` values blanked, and every SVG except
-    fig_scaling.svg, whose y axis is time.
+    ``timed_svgs``, whose axes plot time (fig_scaling.svg by default;
+    fig_valacc.svg also plots the solver clock).
     """
     digest = hashlib.sha256()
     digest.update((out / "config.json").read_bytes())
@@ -54,7 +63,7 @@ def masked_study_digest(out):
             cells[4] = ""
         digest.update((",".join(cells) + "\n").encode())
     for svg in sorted(out.glob("*.svg")):
-        if svg.name != "fig_scaling.svg":
+        if svg.name not in timed_svgs:
             digest.update(svg.name.encode() + svg.read_bytes())
     return digest.hexdigest()
 
@@ -171,6 +180,127 @@ class TestRunExperiments:
     def test_parallelism_validated(self, tmp_path):
         with pytest.raises(ValueError):
             run_experiments([quick_config()], tmp_path, parallelism=0)
+
+
+class TestRunPool:
+    """A study's runs in forked worker processes give the inline outputs."""
+
+    def test_ll_accuracy_pooled_matches_inline(self, tmp_path):
+        # the probe and the figure read records made in the workers
+        assert reproduce("ll-accuracy", tmp_path / "inline", parallel=1) == 0
+        assert reproduce("ll-accuracy", tmp_path / "pool", parallel=2) == 0
+        assert (masked_study_digest(tmp_path / "pool")
+                == masked_study_digest(tmp_path / "inline"))
+
+    def test_hypercleaning_pooled_matches_inline(self, tmp_path):
+        study = _STUDIES["hypercleaning"]
+        small = ProblemSpec(family="hypercleaning", classes=3, dim=4, n_train=60,
+                            n_val=30, rho=0.3, seed=1)
+        configs = [replace(cfg, problem=small) for cfg in study.configs(1, None)]
+        for mode, parallel in (("inline", 1), ("pool", 2)):
+            (tmp_path / mode).mkdir()
+            _run_study("hypercleaning", study, configs, tmp_path / mode, 1, parallel)
+        timed = ("fig_valacc.svg",)  # solver seconds on its x axis
+        assert (masked_study_digest(tmp_path / "pool", timed)
+                == masked_study_digest(tmp_path / "inline", timed))
+        # this check reads the clean mask of the problem the parent built
+        checks = json.loads((tmp_path / "pool" / "summary.json").read_text())["checks"]
+        assert "clean_split_recovered" in checks
+
+    def test_outputs_in_config_order_when_first_run_ends_last(self, tmp_path):
+        configs = [quick_config("z-slow"), quick_config("a-fast")]
+
+        def study(wait_for=None):
+            def probe(run):  # z-slow holds its first step until a-fast has ended
+                def hold(k, before, after, d):
+                    deadline = time.monotonic() + 60.0
+                    while (run.cfg.name == "z-slow" and k == 0 and not wait_for.exists()
+                           and time.monotonic() < deadline):
+                        time.sleep(0.01)
+                return hold
+            return Study(configs=lambda seed, idx: configs, columns=("d_norm",),
+                         figures=(), checks=lambda runs: {"ran": True},
+                         probe=probe if wait_for is not None else None)
+
+        inline, pool = tmp_path / "inline", tmp_path / "pool"
+        inline.mkdir()
+        pool.mkdir()
+        assert _run_study("toy", study(), configs, inline, 0, 1) == 0
+        assert _run_study("toy", study(pool / "a-fast" / "summary.json"),
+                          configs, pool, 0, 2) == 0
+        assert ((pool / "a-fast" / "summary.json").stat().st_mtime_ns
+                <= (pool / "z-slow" / "summary.json").stat().st_mtime_ns)
+        labels = [line.split(",")[0] for line in
+                  (pool / "comparison.csv").read_text().splitlines()[1:]]
+        assert labels == sorted(labels, reverse=True) and len(set(labels)) == 2
+        assert masked_study_digest(pool) == masked_study_digest(inline)
+
+    def test_one_worker_or_one_run_starts_no_process(self, tmp_path, monkeypatch):
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        two = [quick_config("a"), quick_config("b")]
+        assert run_experiments(two, tmp_path / "serial", parallelism=1) == 0
+        assert run_experiments(two[:1], tmp_path / "single", parallelism=2) == 0
+        assert reproduce("counterexample", tmp_path / "study", parallel=1) == 0
+        assert reproduce("counterexample", tmp_path / "unpooled-study") == 0
+        with monkeypatch.context() as m:
+            m.setattr(sys, "platform", "darwin")
+            assert run_experiments(two, tmp_path / "other-os", parallelism=2) == 0
+        assert started == []
+        assert run_experiments(two, tmp_path / "pool", parallelism=2) == 0
+        assert started == [(2,)]
+        # a study that pools takes a process per usable CPU, but no more than its runs
+        pooled = Study(configs=lambda seed, idx: two, columns=(), figures=(),
+                       checks=lambda runs: {"ran": True}, pool=True)
+        monkeypatch.setitem(_STUDIES, "toy", pooled)
+        assert reproduce("toy", tmp_path / "pooled-study") == 0
+        assert started == [(2,), (2,)]
+
+    def test_only_hypercleaning_pools_its_runs(self):
+        # dimension-scaling plots each run's own clock, counterexample and
+        # eta-sweep are too short to pay for the forks, and the rest keep every
+        # step in the calling process, where a profiler sees it
+        assert [name for name, study in _STUDIES.items() if study.pool] == ["hypercleaning"]
+
+    def test_parallel_below_one_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="--parallel must be at least 1, got 0"):
+            reproduce("counterexample", tmp_path / "out", parallel=0)
+        assert not (tmp_path / "out").exists()
+
+    def test_killed_worker_fails_the_command(self, tmp_path):
+        script = textwrap.dedent("""
+            import json, os, sys
+            from pathlib import Path
+            from blo.config import parse_config
+            from blo.experiments import Study, _run_study
+
+            run = {"problem": {"family": "quadratic", "n": 4},
+                   "method": {"name": "bagdc"}, "stop": {"max_iters": 50}}
+            configs = parse_config(json.dumps(
+                {"runs": [dict(run, name="a"), dict(run, name="b")]}))
+
+            def probe(study_run):
+                def die(k, before, after, d):
+                    if study_run.cfg.name == "a" and k == 5:
+                        os._exit(3)
+                return die
+
+            study = Study(configs=None, columns=(), figures=(),
+                          checks=lambda runs: {"ran": True}, probe=probe)
+            sys.exit(_run_study("toy", study, configs, Path(sys.argv[1]), 0, 2))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(blo.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in proc.stderr
 
 
 class TestBuildProblem:
