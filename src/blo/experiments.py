@@ -114,12 +114,18 @@ def _build_or_fail(cfg: ExperimentConfig, run_dir: Path
     try:
         return build_problem(cfg.problem), None
     except Exception as exc:
-        summary = RunSummary("error", 0, 0.0, Counts(), {}, {},
-                             f"{type(exc).__name__}: {exc}", 0)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "trace.csv").write_text(TRACE_HEADER + "\n", encoding="utf-8")
-        _write_json(run_dir / "summary.json", _summary_payload(summary, cfg))
-        return None, summary
+        return None, _failed_run(cfg, run_dir, f"{type(exc).__name__}: {exc}", 0)
+
+
+def _failed_run(cfg: ExperimentConfig, run_dir: Path, error: str,
+                error_at: int | None) -> RunSummary:
+    """The ``error`` summary of a run that could not start or whose worker process
+    died, written into ``run_dir`` with a header-only trace."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "trace.csv").write_text(TRACE_HEADER + "\n", encoding="utf-8")
+    summary = RunSummary("error", 0, 0.0, Counts(), {}, {}, error, error_at)
+    _write_json(run_dir / "summary.json", _summary_payload(summary, cfg))
+    return summary
 
 
 def execute_run(cfg: ExperimentConfig, run_dir: Path) -> RunSummary:
@@ -155,18 +161,24 @@ def _call_shared(i: int):
     return fn(items[i])
 
 
-def _map_runs(fn: Callable, items: list, parallel: int) -> list:
+def _map_runs(fn: Callable, items: list, parallel: int, lost: Callable) -> list:
     """``[fn(item) for item in items]`` on up to ``parallel`` forked processes that
     inherit ``fn`` and ``items`` (which hold lambdas); only indices and results are
-    pickled.  One worker, or a platform other than Linux, runs inline."""
+    pickled.  One worker, or a platform other than Linux, runs inline.  A worker
+    that dies breaks the pool: the results already back are kept, and every other
+    item gets ``lost(item, error)``."""
     workers = min(parallel, len(items))
     if workers <= 1 or not sys.platform.startswith("linux"):
         return [fn(item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_share, initargs=(fn, items)) as pool:
-        return list(pool.map(_call_shared, range(len(items))))
+        futures = [pool.submit(_call_shared, i) for i in range(len(items))]
+    return [lost(item, "BrokenProcessPool: worker process exited")
+            if isinstance(future.exception(), BrokenProcessPool) else future.result()
+            for item, future in zip(items, futures)]
 
 
 def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
@@ -184,7 +196,8 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
     if len(set(names)) != len(names):
         raise ConfigError("run names collide; give sweep entries distinct names")
     jobs = [(cfg, out / name) for cfg, name in zip(configs, names)]
-    summaries = _map_runs(lambda job: execute_run(*job), jobs, parallelism)
+    summaries = _map_runs(lambda job: execute_run(*job), jobs, parallelism,
+                          lambda job, error: _failed_run(*job, error, None))
     return 1 if _report_failed(dict(zip(names, summaries))) else 0
 
 
@@ -247,8 +260,11 @@ def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out: Pa
         return (*_run_to_dir(run.built, run.cfg, out / run.cfg.name, probe=probe),
                 run.probed)
 
+    def lose(run: StudyRun, error: str) -> tuple:  # its worker process died
+        return None, _failed_run(run.cfg, out / run.cfg.name, error, None), [], []
+
     rows: list[str] = []
-    for run, result in zip(todo, _map_runs(execute, todo, parallel)):
+    for run, result in zip(todo, _map_runs(execute, todo, parallel, lose)):
         run.state, run.summary, run.records, run.probed = result
         if study.rows is not None:
             rows += study.rows(run)
@@ -259,10 +275,11 @@ def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out: Pa
         fh.write("".join(line + "\n" for line in [_COMPARISON_HEADER, *rows]))
 
     warnings: list[str] = []
-    unbuilt = [label for label, run in runs.items() if run.built is None]
-    if unbuilt:  # figures and checks read built runs
-        warnings.append(f"no figures or checks: {', '.join(unbuilt)} failed to build")
-        checks = {"all_runs_built": False}
+    missing = [label for label, run in runs.items() if run.state is None]
+    if missing:  # figures and checks read every run's final state
+        warnings.append(f"no figures or checks: no result from {', '.join(missing)}")
+        built = all(run.built is not None for run in runs.values())
+        checks = {"all_runs_finished" if built else "all_runs_built": False}
     else:
         for fig in study.figures:
             warnings += svgplot.emit_svg(fig.series(runs), fig.axes, str(out / fig.file))

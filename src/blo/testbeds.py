@@ -246,25 +246,47 @@ def _augment(features: Array) -> Array:
     return np.hstack([features, np.ones((features.shape[0], 1))])
 
 
-def _row_max(z: Array) -> Array:
-    # a max is order-free, and over a class-major copy NumPy's inner loop
-    # runs along the samples, not once per short row; the row sums stay
-    # row-major, because their pairwise order sets their bits
-    return np.ascontiguousarray(z.T).max(axis=0)[:, None]
+def _class_sum(z: Array) -> Array:
+    """``z.T.sum(axis=1)`` of a class-major (C, N) array, bit for bit, in row adds:
+    NumPy sums a short row from 0.0, left to right below 8 entries, else in eight
+    running sums over blocks of 8, paired, then the tail left to right.  Which NaN
+    comes out where two different NaNs meet is not replayed."""
+    c = len(z)
+    if c > 128:  # NumPy halves a longer row first
+        return np.ascontiguousarray(z.T).sum(axis=1)
+    if c < 8:
+        s, tail = z[0] + 0.0, z[1:]
+    else:
+        r = z[:8]
+        for i in range(8, c - c % 8, 8):
+            r = r + z[i:i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])) + 0.0
+        tail = z[c - c % 8:]
+    for row in tail:
+        s += row
+    return s
 
 
 def _softmax(z: Array) -> Array:
-    z = z - _row_max(z)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of (N, C) logits, as the view of a class-major array."""
+    e = z.T.copy()
+    e -= e.max(axis=0)
+    np.exp(e, out=e)
+    e /= _class_sum(e)
+    return e.T
 
 
 def _ce_losses(w_mat: Array, a: Array, labels: Array) -> Array:
     """Per-sample softmax cross-entropy for logits a @ w_mat.T."""
-    z = a @ w_mat.T
-    zmax = _row_max(z)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    return lse - z[np.arange(a.shape[0]), labels]
+    z = (a @ w_mat.T).T.copy()
+    zmax = z.max(axis=0)
+    lse = zmax + np.log(_class_sum(np.exp(z - zmax)))
+    return lse - z[labels, np.arange(a.shape[0])]
+
+
+def _times(r: Array, a: Array) -> Array:
+    # r.T @ a for class-major r, with the row-major layout its bits were made with
+    return np.ascontiguousarray(r.T).T @ a
 
 
 def classifier_accuracy(ds: Dataset, w: Array) -> float:
@@ -278,7 +300,7 @@ def _content_cache(fn, size: int):
     """``fn(a)``, read-only, for the last ``size`` contents of ``a`` (FIFO).
 
     Keys are compared, not hashed: hashing the 8 KB key of a 1000-sample x
-    took 2.5 us a call on an x86_64 Xeon, comparing it 0.3 us.
+    took 2.6 us a call on a 2-CPU x86_64 Xeon, comparing it 0.15 us.
     """
     entries: list[tuple[bytes, tuple[Array, ...]]] = []
 
@@ -294,6 +316,40 @@ def _content_cache(fn, size: int):
         for arr in value:
             arr.setflags(write=False)
         entries.append((key, value))
+        return value
+    return cached
+
+
+def _trail_cache(fn):
+    """``fn(a)``, read-only, for the contents of ``a`` since the one before the
+    last run of misses.  Lookups see the top two; one that finds the third pops
+    the top, so a walk back over the run finds each of its points in turn.
+
+    A ``bagdc`` step asks at y, y+, y: its runs of misses are one call long, so
+    it keeps two values.  An ``rhg`` forward pass is a run of T misses, and its
+    reverse pass asks at the same points newest first: one value per point.
+    """
+    trail: list[tuple[bytes, Array]] = []  # newest last
+    missed = False  # the last call computed
+
+    def cached(a):
+        nonlocal missed
+        a = np.asarray(a, dtype=float)
+        key = a.tobytes()
+        for k, value in trail[-2:]:
+            if k == key:
+                missed = False
+                return value
+        if len(trail) > 2 and trail[-3][0] == key:  # one point back
+            del trail[-1]
+            missed = False
+            return trail[-2][1]
+        if not missed:  # a new run starts from the last value
+            del trail[:-1]
+        value = fn(a)
+        value.setflags(write=False)
+        trail.append((key, value))
+        missed = True
         return value
     return cached
 
@@ -318,11 +374,14 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
     The ridge makes f strongly convex in w, so the single-level residual
     is well posed; upper-level curvature products are not provided.
 
-    The callbacks share three caches: the train softmax of the last two w
-    (a ``bagdc`` step asks at y, y+, y), sigmoid(x) of the last x, and the
-    direction product a_tr @ U.T of the last u (an ``rhg`` reverse step
-    asks for both products at one u).  None is locked: call a problem
-    from one thread at a time.
+    The callbacks share three caches: the train softmax of the last two w and
+    of the points an ``rhg`` forward pass made (see ``_trail_cache``),
+    sigmoid(x) of the last x, and the direction product a_tr @ U.T of the last u
+    (an ``rhg`` reverse step asks for both products at one u).  Softmax, label
+    residual and direction product are kept class-major, (C, N), so the
+    per-sample sums over classes run as whole-row adds (``_class_sum``); the
+    BLAS products see the row-major layouts their bits were made with.  None
+    is locked: call a problem from one thread at a time.
     """
     if val.n_classes != train.n_classes or val.dim != train.dim:
         raise ValueError("train/val disagree on feature dim or class count")
@@ -337,19 +396,19 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
     n_val = val.n
     n_cls = train.n_classes
     p = train.dim + 1
-    onehot_tr = np.eye(n_cls, dtype=bool)[y_tr]
-    onehot_val = np.eye(n_cls, dtype=bool)[y_val]
+    onehot_tr = (np.arange(n_cls)[:, None] == y_tr).astype(float)  # class-major
+    onehot_val = (np.arange(n_cls)[:, None] == y_val).astype(float)
 
     def unpack(w):
         return np.asarray(w, dtype=float).reshape(n_cls, p)
 
-    # (softmax, softmax - onehot) of the train logits; (sigmoid, sigmoid')
-    train_softmax = _content_cache(
-        lambda w: (pm := _softmax(a_tr @ unpack(w).T), pm - onehot_tr), 2)
+    # class-major (C, N) train softmax; (sigmoid, sigmoid')
+    train_softmax = _trail_cache(lambda w: _softmax(a_tr @ unpack(w).T).T)
     sample_weights = _content_cache(lambda x: (s := _sigmoid(x), s * (1.0 - s)), 1)
-    # a_tr @ U.T: rhg asks for jvp and hvp at one u, bagdc for hvp at the
+    # (a_tr @ U.T).T: rhg asks for jvp and hvp at one u, bagdc for hvp at the
     # v its last jvp was asked at
-    direction = _content_cache(lambda u: (a_tr @ unpack(u).T,), 1)
+    direction = _content_cache(
+        lambda u: (np.ascontiguousarray((a_tr @ unpack(u).T).T),), 1)
 
     def ll_value(x, w):
         ce = _ce_losses(unpack(w), a_tr, y_tr)
@@ -359,24 +418,25 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
         return float(np.mean(_ce_losses(unpack(w), a_val, y_val)))
 
     def grad_y_ll(x, w):
-        r = train_softmax(w)[1]
-        g = (r * sample_weights(x)[0][:, None]).T @ a_tr / n_tr
-        return g.ravel() + c * w
+        r = train_softmax(w) - onehot_tr
+        r *= sample_weights(x)[0]
+        return (_times(r, a_tr) / n_tr).ravel() + c * w
 
     def grad_y_ul(x, w):
-        r = _softmax(a_val @ unpack(w).T) - onehot_val
-        return (r.T @ a_val / n_val).ravel()
+        r = _softmax(a_val @ unpack(w).T).T - onehot_val
+        return (_times(r, a_val) / n_val).ravel()
 
     def hvp_yy_ll(x, w, u):
-        pm = train_softmax(w)[0]
+        pm = train_softmax(w)
         t = pm * direction(u)[0]
-        t -= pm * t.sum(axis=1, keepdims=True)
-        t *= sample_weights(x)[0][:, None]
-        return (t.T @ a_tr / n_tr).ravel() + c * np.asarray(u, dtype=float)
+        t -= pm * _class_sum(t)
+        t *= sample_weights(x)[0]
+        return (_times(t, a_tr) / n_tr).ravel() + c * np.asarray(u, dtype=float)
 
     def jvp_xy_ll(x, w, u):
-        r = train_softmax(w)[1]
-        return sample_weights(x)[1] * np.sum(r * direction(u)[0], axis=1) / n_tr
+        r = train_softmax(w) - onehot_tr
+        r *= direction(u)[0]
+        return sample_weights(x)[1] * _class_sum(r) / n_tr
 
     problem = BilevelProblem(
         n=n_tr,

@@ -182,6 +182,38 @@ class TestRunExperiments:
             run_experiments([quick_config()], tmp_path, parallelism=0)
 
 
+# Prepended to a script run in a subprocess: ``die_after(path, die)`` waits in a
+# worker until another run's ``path`` exists and that run's result has had time
+# to reach the parent, then calls ``die``.
+DIE_IN_WORKER = textwrap.dedent("""
+    import os, sys, time
+    from pathlib import Path
+
+    def die_after(path, die):
+        deadline = time.monotonic() + 60.0
+        while not path.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)
+        die()
+""")
+
+
+def run_script(script, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(blo.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def assert_lost_run(run_dir):
+    """The parent wrote the summary of a run whose worker died, and a
+    header-only trace."""
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["error"] == "BrokenProcessPool: worker process exited"
+    assert summary["at_iteration"] is None and summary["config"]["name"] == run_dir.name
+    assert (run_dir / "trace.csv").read_text() == TRACE_HEADER + "\n"
+
+
 class TestRunPool:
     """A study's runs in forked worker processes give the inline outputs."""
 
@@ -275,12 +307,12 @@ class TestRunPool:
         assert not (tmp_path / "out").exists()
 
     def test_killed_worker_fails_the_command(self, tmp_path):
-        script = textwrap.dedent("""
-            import json, os, sys
-            from pathlib import Path
+        script = DIE_IN_WORKER + textwrap.dedent("""
+            import json
             from blo.config import parse_config
             from blo.experiments import Study, _run_study
 
+            out = Path(sys.argv[1])
             run = {"problem": {"family": "quadratic", "n": 4},
                    "method": {"name": "bagdc"}, "stop": {"max_iters": 50}}
             configs = parse_config(json.dumps(
@@ -289,18 +321,61 @@ class TestRunPool:
             def probe(study_run):
                 def die(k, before, after, d):
                     if study_run.cfg.name == "a" and k == 5:
-                        os._exit(3)
+                        die_after(out / "b" / "summary.json", lambda: os._exit(3))
                 return die
 
-            study = Study(configs=None, columns=(), figures=(),
+            study = Study(configs=None, columns=("d_norm",), figures=(),
                           checks=lambda runs: {"ran": True}, probe=probe)
-            sys.exit(_run_study("toy", study, configs, Path(sys.argv[1]), 0, 2))
+            sys.exit(_run_study("toy", study, configs, out, 0, 2))
         """)
-        env = dict(os.environ, PYTHONPATH=str(Path(blo.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_script(script, tmp_path)
         assert proc.returncode != 0
         assert "BrokenProcessPool" in proc.stderr
+        # the run that finished keeps its result; the study writes its outputs
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "run a: error: BrokenProcessPool: worker process exited",
+            "study toy: failed checks: all_runs_finished"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["ok"] is False
+        assert summary["checks"] == {"all_runs_finished": False}
+        assert summary["runs"]["a"]["status"] == "error"
+        assert summary["runs"]["b"]["status"] == "max-iters"
+        assert_lost_run(tmp_path / "a")
+        assert json.loads((tmp_path / "b" / "summary.json").read_text())["iterations"] == 50
+        labels = [line.split(",")[0] for line in
+                  (tmp_path / "comparison.csv").read_text().splitlines()[1:]]
+        assert labels == ["b"] * 50
+
+    def test_killed_worker_fails_blo_run(self, tmp_path):
+        script = DIE_IN_WORKER + textwrap.dedent("""
+            import signal
+            import blo.experiments
+            from blo.cli import main
+
+            execute_run = blo.experiments.execute_run
+
+            def dying(cfg, run_dir):  # in the worker process
+                if cfg.name == "a":
+                    die_after(run_dir.parent / "b" / "summary.json",
+                              lambda: os.kill(os.getpid(), signal.SIGKILL))
+                return execute_run(cfg, run_dir)
+
+            blo.experiments.execute_run = dying
+            sys.exit(main(["run", sys.argv[1], "--parallel", "2", "--out", sys.argv[2]]))
+        """)
+        config = tmp_path / "runs.json"
+        config.write_text(json.dumps({"runs": [
+            {"name": name, "problem": {"family": "quadratic", "n": 4},
+             "method": {"name": "bagdc"}, "stop": {"max_iters": 50}}
+            for name in ("a", "b")]}))
+        proc = run_script(script, config, tmp_path / "out")
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "run a: error: BrokenProcessPool: worker process exited"]
+        assert_lost_run(tmp_path / "out" / "a")
+        b = json.loads((tmp_path / "out" / "b" / "summary.json").read_text())
+        assert (b["status"], b["iterations"]) == ("max-iters", 50)
 
 
 class TestBuildProblem:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -378,6 +380,38 @@ class TestHyperCleaningKernels:
         z[0, 0] = noise
         assert same_bits(testbeds._softmax(z), reference_softmax(z))
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("n_classes", [*range(2, 34), 64, 128, 129])
+    def test_class_sum_replays_numpy_row_sums(self, n_classes):
+        # NumPy's pairwise order sets the last bits of a row sum; a NumPy that
+        # changes it fails here, not only in the golden digests
+        rng = np.random.default_rng(n_classes)
+        shape = (50, n_classes)
+        signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        random = signs * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+        for specials in ([0.0, -0.0], [0.0, -0.0, np.inf, -np.inf], [0.0, -0.0, np.nan]):
+            z = random.copy()
+            seeded = rng.random(shape) < 0.3
+            z[seeded] = rng.choice(specials, seeded.sum())
+            z[0] = specials[-1]  # one row of nothing else
+            for rows in (random, z):
+                assert same_bits(testbeds._class_sum(np.ascontiguousarray(rows.T)),
+                                 rows.sum(axis=1)), specials
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_class_sum_where_nans_meet(self):
+        # an inf - inf NaN and a seeded NaN differ in their sign bit, and which
+        # one a sum keeps depends on the add loop (NumPy's own SIMD body and
+        # scalar tail pick differently), so only NaN-ness is replayed there
+        rng = np.random.default_rng(0)
+        for n_classes in range(2, 34):
+            z = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0], (200, n_classes))
+            got = testbeds._class_sum(np.ascontiguousarray(z.T))
+            want = z.sum(axis=1)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert same_bits(got[~nan], want[~nan])
+
 
 class TestHyperCleaningCache:
     @settings(max_examples=60, deadline=None)
@@ -500,6 +534,81 @@ class TestHyperCleaningCache:
         problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
         # trace rows, with their KKT residual's products, at k = 0 and 29
         assert count_per_step(products, problem, method, 30) == expected
+
+    @pytest.mark.parametrize("T", [4, 20])
+    def test_train_softmaxes_per_rhg_step(self, monkeypatch, T):
+        # the reverse pass finds each forward point's softmax; a trace row asks
+        # at y_T, the point the next step starts from
+        problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
+        train_shape = (CACHE_TRAIN.n, CACHE_TRAIN.n_classes)
+        softmax = testbeds._softmax
+        train_calls = []
+
+        def counting_softmax(z):
+            if z.shape == train_shape:
+                train_calls.append(1)
+            return softmax(z)
+
+        monkeypatch.setattr(testbeds, "_softmax", counting_softmax)
+        per_step = count_per_step(train_calls, problem, MethodSpec("rhg", T=T), 1)
+        assert per_step == [T + 1] + [T] * 29
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 7])
+    def test_rhg_call_order_matches_reference(self, T):
+        # two unrolled steps, each T points forward and then back, the second
+        # from where the first ended; before the second's reverse pass one of
+        # its points changes in place, so its cached softmax must not be used
+        problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
+        ref = cache_reference()
+        rng = np.random.default_rng(T)
+        x = rng.standard_normal(problem.n)
+        y = 0.5 * rng.standard_normal(problem.m)
+        for step in range(2):
+            ys = [y]
+            for _ in range(T):
+                g = problem.grad_y_ll(x, ys[-1])
+                assert same_bits(g, ref.grad_y_ll(x, ys[-1]))
+                ys.append(ys[-1] - 0.5 * g)
+            a = problem.grad_y_ul(x, ys[T])
+            assert same_bits(a, ref.grad_y_ul(x, ys[T]))
+            if step == 1:
+                ys[T // 2] += 0.25
+            for t in range(T - 1, -1, -1):
+                jvp = problem.jvp_xy_ll(x, ys[t], a)
+                assert same_bits(jvp, ref.jvp_xy_ll(x, ys[t], a)), t
+                hvp = problem.hvp_yy_ll(x, ys[t], a)
+                assert same_bits(hvp, ref.hvp_yy_ll(x, ys[t], a)), t
+                a = a - 0.5 * hvp
+            y = ys[T]
+
+    def test_trail_keeps_one_value_per_point_of_a_pass(self):
+        values, calls = [], []
+
+        def fn(a):
+            calls.append(1)
+            value = np.full(3, a[0])
+            values.append(weakref.ref(value))
+            return value
+
+        def alive():
+            gc.collect()
+            return sum(ref() is not None for ref in values)
+
+        cached = testbeds._trail_cache(fn)
+        points = [np.full(2, float(i)) for i in range(60)]
+        for k in range(40):  # bagdc: y, y+, y, and a trace row at y+
+            for i in (k, k + 1, k, k + 1):
+                assert cached(points[i])[0] == i
+        assert len(calls) == 41 and alive() <= 2
+        calls.clear()
+        forward = points[40:51]  # rhg: from the last point, a run of misses,
+        for y in forward:        # then the same points backwards
+            cached(y)
+        assert alive() <= len(forward)
+        for y in reversed(forward):
+            assert cached(y)[0] == y[0]
+            assert cached(y)[0] == y[0]
+        assert len(calls) == len(forward) - 1 and alive() <= 2
 
 
 class TestHyperCleaning:
