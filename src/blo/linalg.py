@@ -44,13 +44,6 @@ def diagonal_operator(diag: Array) -> LinearOperator:
     return LinearOperator(d.size, lambda v: d * v)
 
 
-def matrix_operator(a: Array) -> LinearOperator:
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return LinearOperator(m.shape[0], lambda v: m @ v)
-
-
 def _norm(a: Array) -> float:
     """Euclidean norm of a 1-D float array, bitwise equal to ``np.linalg.norm``."""
     return math.sqrt(float(a.dot(a)))

@@ -20,21 +20,26 @@ import numpy as np
 
 from .errors import MissingOracleError
 from .linalg import Array, LinearOperator, _norm, cg_solve, gaussian_vector
-from .problem import BilevelProblem, aggregate
+from .problem import BilevelProblem, psi_product, psi_weights
+
+
+def _kkt(p: BilevelProblem, w: tuple[float, float] | None, x: Array, y: Array,
+         v: Array) -> float:
+    rx = p.grad_x_ul(x, y) - psi_product(w, p.jvp_xy_ul, p.jvp_xy_ll, x, y, v)
+    ry = p.grad_y_ul(x, y) - psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y, v)
+    rf = psi_product(w, p.grad_y_ul, p.grad_y_ll, x, y)
+    return float(rx @ rx + ry @ ry + rf @ rf)
 
 
 def kkt_residual(problem: BilevelProblem, x: Array, y: Array, v: Array) -> float:
     """Squared norm of the Lagrangian gradient at (x, y, v)."""
-    rx = problem.grad_x_ul(x, y) - problem.jvp_xy_ll(x, y, v)
-    ry = problem.grad_y_ul(x, y) - problem.hvp_yy_ll(x, y, v)
-    rf = problem.grad_y_ll(x, y)
-    return float(rx @ rx + ry @ ry + rf @ rf)
+    return _kkt(problem, None, x, y, v)
 
 
 def kkt_residual_aggregated(problem: BilevelProblem, x: Array, y: Array,
                             v: Array, mu: float, lam: float) -> float:
-    """Same residual for the aggregated lower level; diagnostic only."""
-    return kkt_residual(aggregate(problem, mu, lam), x, y, v)
+    """Same residual with f replaced by psi_mu; diagnostic only."""
+    return _kkt(problem, psi_weights(problem, mu, lam), x, y, v)
 
 
 def hypergrad_error(d: Array, oracle: "AnalyticOracle | None", x: Array) -> float:

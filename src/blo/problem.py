@@ -15,7 +15,7 @@ is the finite-difference safety net for hand-derived formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,43 +50,37 @@ class BilevelProblem:
         return self.hvp_yy_ul is not None and self.jvp_xy_ul is not None
 
 
-def psi_weights(base: BilevelProblem, mu: float, lam: float) -> tuple[float, float]:
-    """Validated weights (w_ul, w_ll) = (mu*lam, 1 - mu) of psi = w_ul*F + w_ll*f;
-    ``mu > 0`` requires the base problem's upper-level curvature products."""
+def psi_weights(base: BilevelProblem, mu: float,
+                lam: float) -> tuple[float, float] | None:
+    """Validated weights (w_ul, w_ll) = (mu*lam, 1 - mu) of psi = w_ul*F + w_ll*f,
+    or None for ``mu = 0`` (psi is f itself); ``mu > 0`` requires the base
+    problem's upper-level curvature products."""
     if not 0.0 <= mu <= 0.5:
         raise ValueError(f"mu must lie in [0, 1/2], got {mu}")
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    if mu != 0.0 and not base.has_ul_curvature:
+    if mu == 0.0:
+        return None
+    if not base.has_ul_curvature:
         raise CapabilityError(
             "aggregation with mu > 0 needs hvp_yy_ul and jvp_xy_ul, "
             "which this problem does not provide")
     return mu * lam, 1.0 - mu
 
 
-def aggregate(base: BilevelProblem, mu: float, lam: float) -> BilevelProblem:
-    """Blend the upper objective into the lower level.
-
-    Returns a problem whose ll_* surface evaluates
-    psi(x, y) = mu*lam*F(x, y) + (1 - mu)*f(x, y) and whose ul_* surface
-    is unchanged.  ``mu = 0`` returns ``base`` itself (exact
-    pass-through, no wrapping cost); see ``psi_weights``.
-    """
-    w_ul, w_ll = psi_weights(base, mu, lam)
-    if mu == 0.0:
-        return base
-    return replace(
-        base,
-        ll_value=lambda x, y: w_ul * base.ul_value(x, y) + w_ll * base.ll_value(x, y),
-        grad_y_ll=lambda x, y: w_ul * base.grad_y_ul(x, y) + w_ll * base.grad_y_ll(x, y),
-        hvp_yy_ll=lambda x, y, u: w_ul * base.hvp_yy_ul(x, y, u) + w_ll * base.hvp_yy_ll(x, y, u),
-        jvp_xy_ll=lambda x, y, u: w_ul * base.jvp_xy_ul(x, y, u) + w_ll * base.jvp_xy_ll(x, y, u),
-    )
+def psi_product(w: tuple[float, float] | None, ul_prod, ll_prod, *args) -> Array:
+    """One psi_mu gradient or product, w_ul*[F term] + w_ll*[f term] with the
+    upper term evaluated first; the f term alone when ``w`` is None."""
+    if w is None:
+        return ll_prod(*args)
+    w_ul, w_ll = w
+    return w_ul * ul_prod(*args) + w_ll * ll_prod(*args)
 
 
 @dataclass
 class Counts:
-    """Tally of oracle products, at the surface the caller queries."""
+    """Tally of gradients and products a step makes, at the psi surface:
+    one blended psi product counts once."""
 
     grads: int = 0
     hvps: int = 0
@@ -96,43 +90,6 @@ class Counts:
         self.grads += other.grads
         self.hvps += other.hvps
         self.jvps += other.jvps
-
-
-def counting_problem(problem: BilevelProblem, counts: Counts) -> BilevelProblem:
-    """Wrap a problem so every gradient/product call ticks ``counts``."""
-
-    def grad(fn):
-        def wrapped(x, y):
-            counts.grads += 1
-            return fn(x, y)
-        return wrapped
-
-    def hvp(fn):
-        if fn is None:
-            return None
-        def wrapped(x, y, u):
-            counts.hvps += 1
-            return fn(x, y, u)
-        return wrapped
-
-    def jvp(fn):
-        if fn is None:
-            return None
-        def wrapped(x, y, u):
-            counts.jvps += 1
-            return fn(x, y, u)
-        return wrapped
-
-    return replace(
-        problem,
-        grad_x_ul=grad(problem.grad_x_ul),
-        grad_y_ul=grad(problem.grad_y_ul),
-        grad_y_ll=grad(problem.grad_y_ll),
-        hvp_yy_ll=hvp(problem.hvp_yy_ll),
-        jvp_xy_ll=jvp(problem.jvp_xy_ll),
-        hvp_yy_ul=hvp(problem.hvp_yy_ul),
-        jvp_xy_ul=jvp(problem.jvp_xy_ul),
-    )
 
 
 @dataclass(frozen=True)

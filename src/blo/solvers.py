@@ -14,9 +14,12 @@ differentiation with CG or truncated Neumann inverses, and BDA (RHG over
 the aggregated lower level).  Hypergradient methods are driven by plain
 upper gradient steps with warm-started y.
 
-The single-loop steps call the base problem directly and report their
-own fixed oracle counts; only the hypergradient baselines wrap the
-problem (``counting_problem``, once per call of T inner steps).
+Every step calls the base problem directly, blends psi_mu products with
+``psi_product``, and reports its ``Counts`` (gradients, HVPs, JVPs) from
+its own loop bounds, at the psi surface: one psi product counts once.
+BAGDC makes (3, 1, 1), one more HVP under the adaptive eta rule; NOSA
+(3, 0, 1); RHG and BDA (T + 2, T, T); implicit-CG (T + 2, CG iterations,
+1); implicit-NS (T + 2, M, 1).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (CapabilityError, DivergenceError, FieldError,
 from .linalg import (Array, LinearOperator, _norm, cg_solve, neumann_apply,
                      power_iteration_lmax)
 from .metrics import AnalyticOracle, TraceRecord, kkt_residual, kkt_residual_aggregated, lyapunov_value
-from .problem import BilevelProblem, Counts, aggregate, counting_problem, psi_weights
+from .problem import BilevelProblem, Counts, psi_product, psi_weights
 
 METHOD_NAMES = ("bagdc", "nosa", "rhg", "implicit-cg", "implicit-ns", "bda")
 
@@ -134,15 +137,6 @@ class StepInfo:
     eta: float | None = None
 
 
-def _psi(w: tuple[float, float] | None, ul_prod, ll_prod, *args) -> Array:
-    """One psi_mu product, blended exactly as ``aggregate`` does; f alone
-    when ``w`` is None (mu = 0)."""
-    if w is None:
-        return ll_prod(*args)
-    w_ul, w_ll = w
-    return w_ul * ul_prod(*args) + w_ll * ll_prod(*args)
-
-
 def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
                alpha: float, beta: float, eta: float, lam: float = 1.0,
                adaptive: bool = False) -> tuple[SolverState, StepInfo]:
@@ -160,23 +154,21 @@ def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
     iterate raises DivergenceError naming the first of y, v, x that broke.
     """
     w = psi_weights(problem, mu, lam)
-    if mu == 0.0:
-        w = None
     p = problem
     x, y, v = state.x, state.y, state.v
-    y1 = y - beta * _psi(w, p.grad_y_ul, p.grad_y_ll, x, y)
-    r = p.grad_y_ul(x, y1) - _psi(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, v)
+    y1 = y - beta * psi_product(w, p.grad_y_ul, p.grad_y_ll, x, y)
+    r = p.grad_y_ul(x, y1) - psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, v)
     hvps = 1
     eta_k = eta
     if adaptive:
         rr = float(r @ r)
         if rr > 0.0:
             hvps = 2
-            rhr = float(r @ _psi(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, r))
+            rhr = float(r @ psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, r))
             if rhr > _ETA_CURV_FLOOR * rr:
                 eta_k = rr / rhr
     v1 = v + eta_k * r
-    d = p.grad_x_ul(x, y1) - _psi(w, p.jvp_xy_ul, p.jvp_xy_ll, x, y, v1)
+    d = p.grad_x_ul(x, y1) - psi_product(w, p.jvp_xy_ul, p.jvp_xy_ll, x, y, v1)
     x1 = x - alpha * d
     # one check for all three; a finite sum that overflows passes below
     if not math.isfinite(float(y1.dot(y1)) + float(v1.dot(v1)) + float(x1.dot(x1))):
@@ -214,6 +206,27 @@ class HypergradientResult:
     multiplier: Array | None = None
 
 
+def _unroll(problem: BilevelProblem, w: tuple[float, float] | None, x: Array,
+            y0: Array, T: int, beta: float) -> HypergradientResult:
+    """Reverse-mode unrolling of T gradient steps on psi with weights ``w``
+    (f itself when None); the body of ``rhg_hypergradient``."""
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    p = problem
+    ys = [np.asarray(y0, dtype=float)]
+    for _ in range(T):
+        y_next = ys[-1] - beta * psi_product(w, p.grad_y_ul, p.grad_y_ll, x, ys[-1])
+        _ensure_finite(y_next, "y")
+        ys.append(y_next)
+    a = p.grad_y_ul(x, ys[T])
+    d = p.grad_x_ul(x, ys[T])
+    for t in range(T - 1, -1, -1):
+        d = d - beta * psi_product(w, p.jvp_xy_ul, p.jvp_xy_ll, x, ys[t], a)
+        a = a - beta * psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, ys[t], a)
+    _ensure_finite(d, "d")
+    return HypergradientResult(d, ys[T], Counts(T + 2, T, T))
+
+
 def rhg_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
                       beta: float) -> HypergradientResult:
     """Reverse-mode differentiation through T lower gradient steps.
@@ -227,22 +240,7 @@ def rhg_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
 
     Cost: T gradients forward, T HVPs + T JVPs in reverse.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    counts = Counts()
-    p = counting_problem(problem, counts)
-    ys = [np.asarray(y0, dtype=float)]
-    for _ in range(T):
-        y_next = ys[-1] - beta * p.grad_y_ll(x, ys[-1])
-        _ensure_finite(y_next, "y")
-        ys.append(y_next)
-    a = p.grad_y_ul(x, ys[T])
-    d = p.grad_x_ul(x, ys[T])
-    for t in range(T - 1, -1, -1):
-        d = d - beta * p.jvp_xy_ll(x, ys[t], a)
-        a = a - beta * p.hvp_yy_ll(x, ys[t], a)
-    _ensure_finite(d, "d")
-    return HypergradientResult(d, ys[T], counts)
+    return _unroll(problem, None, x, y0, T, beta)
 
 
 def implicit_cg_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
@@ -253,25 +251,26 @@ def implicit_cg_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
     [H_yy f(x, y_hat)] v = grad_y F(x, y_hat) by CG to relative
     tolerance ``eps``, and returns d = grad_x F - [J_xy f] v.  A
     non-positive-definite Hessian surfaces as SingularHessianError.
+    One HVP per CG iteration.
     """
-    counts = Counts()
-    p = counting_problem(problem, counts)
+    p = problem
     y_hat = np.asarray(y0, dtype=float)
     for _ in range(T):
         y_hat = y_hat - beta * p.grad_y_ll(x, y_hat)
         _ensure_finite(y_hat, "y")
-    h_op = LinearOperator(problem.m, lambda u: p.hvp_yy_ll(x, y_hat, u))
+    h_op = LinearOperator(p.m, lambda u: p.hvp_yy_ll(x, y_hat, u))
     b = p.grad_y_ul(x, y_hat)
     try:
-        v = cg_solve(h_op, b, tol=eps, max_iter=5 * problem.m + 50).x
+        cg = cg_solve(h_op, b, tol=eps, max_iter=5 * p.m + 50)
     except SingularHessianError:
         raise
     except NonPositiveCurvatureError as exc:
         raise SingularHessianError(
             f"lower Hessian is singular or indefinite at the inner solution: {exc}") from exc
+    v = cg.x
     d = p.grad_x_ul(x, y_hat) - p.jvp_xy_ll(x, y_hat, v)
     _ensure_finite(d, "d")
-    return HypergradientResult(d, y_hat, counts, multiplier=v)
+    return HypergradientResult(d, y_hat, Counts(T + 2, cg.iterations, 1), multiplier=v)
 
 
 def implicit_ns_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
@@ -280,31 +279,33 @@ def implicit_ns_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
 
     v = beta * sum_{j<=M} (I - beta*H)^j grad_y F(x, y_hat); with M = 0
     this collapses to v = beta * grad_y F, the multiplier the one-step
-    alternating scheme applies implicitly.
+    alternating scheme applies implicitly.  M HVPs.
     """
-    counts = Counts()
-    p = counting_problem(problem, counts)
+    p = problem
     y_hat = np.asarray(y0, dtype=float)
     for _ in range(T):
         y_hat = y_hat - beta * p.grad_y_ll(x, y_hat)
         _ensure_finite(y_hat, "y")
-    h_op = LinearOperator(problem.m, lambda u: p.hvp_yy_ll(x, y_hat, u))
+    h_op = LinearOperator(p.m, lambda u: p.hvp_yy_ll(x, y_hat, u))
     b = p.grad_y_ul(x, y_hat)
     v = neumann_apply(h_op, b, beta, M)
     d = p.grad_x_ul(x, y_hat) - p.jvp_xy_ll(x, y_hat, v)
     _ensure_finite(d, "d")
-    return HypergradientResult(d, y_hat, counts, multiplier=v)
+    return HypergradientResult(d, y_hat, Counts(T + 2, M, 1), multiplier=v)
 
 
 def bda_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
                       mu: float, lam: float, beta: float) -> HypergradientResult:
     """Reverse-mode unrolling over the aggregated lower level psi_mu.
 
-    Identical in structure to ``rhg_hypergradient`` with f replaced by
-    psi_mu; mu = 0 degenerates to plain RHG.  Oracle costs are counted
-    at the aggregated surface.
+    The ``rhg_hypergradient`` loop with every f gradient and product
+    replaced by its ``psi_product`` blend of the base problem's calls;
+    mu = 0 is plain RHG.  The weights are checked (``psi_weights``)
+    before any oracle call.  Cost: (T + 2, T, T) at the psi surface, so
+    with mu > 0 each counted product is one ``*_ul`` and one ``*_ll``
+    call.
     """
-    return rhg_hypergradient(aggregate(problem, mu, lam), x, y0, T, beta)
+    return _unroll(problem, psi_weights(problem, mu, lam), x, y0, T, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,68 @@
+"""Reference implementations the tests compare the library against.
+
+``aggregate`` builds the psi_mu problem as a whole, and
+``counting_problem`` counts the calls made on a problem.  The lean steps,
+the unrolling baselines and ``kkt_residual_aggregated`` must match
+``aggregate`` bit for bit, and the counts they report must match what
+``counting_problem`` sees.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+from blo.linalg import LinearOperator
+from blo.problem import BilevelProblem, Counts, psi_weights
+
+
+def aggregate(base: BilevelProblem, mu: float, lam: float) -> BilevelProblem:
+    """Blend the upper objective into the lower level.
+
+    Returns a problem whose ll_* surface evaluates
+    psi(x, y) = mu*lam*F(x, y) + (1 - mu)*f(x, y) and whose ul_* surface
+    is unchanged.  ``mu = 0`` returns ``base`` itself; see ``psi_weights``.
+    """
+    w = psi_weights(base, mu, lam)
+    if w is None:
+        return base
+    w_ul, w_ll = w
+    return replace(
+        base,
+        ll_value=lambda x, y: w_ul * base.ul_value(x, y) + w_ll * base.ll_value(x, y),
+        grad_y_ll=lambda x, y: w_ul * base.grad_y_ul(x, y) + w_ll * base.grad_y_ll(x, y),
+        hvp_yy_ll=lambda x, y, u: w_ul * base.hvp_yy_ul(x, y, u) + w_ll * base.hvp_yy_ll(x, y, u),
+        jvp_xy_ll=lambda x, y, u: w_ul * base.jvp_xy_ul(x, y, u) + w_ll * base.jvp_xy_ll(x, y, u),
+    )
+
+
+def counting_problem(problem: BilevelProblem, counts: Counts) -> BilevelProblem:
+    """Wrap a problem so every gradient/product call ticks ``counts``."""
+
+    def tick(fn, field):
+        if fn is None:
+            return None
+        def wrapped(*args):
+            setattr(counts, field, getattr(counts, field) + 1)
+            return fn(*args)
+        return wrapped
+
+    return replace(
+        problem,
+        grad_x_ul=tick(problem.grad_x_ul, "grads"),
+        grad_y_ul=tick(problem.grad_y_ul, "grads"),
+        grad_y_ll=tick(problem.grad_y_ll, "grads"),
+        hvp_yy_ll=tick(problem.hvp_yy_ll, "hvps"),
+        jvp_xy_ll=tick(problem.jvp_xy_ll, "jvps"),
+        hvp_yy_ul=tick(problem.hvp_yy_ul, "hvps"),
+        jvp_xy_ul=tick(problem.jvp_xy_ul, "jvps"),
+    )
+
+
+def matrix_operator(a) -> LinearOperator:
+    """An explicit square matrix as a ``LinearOperator``."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return LinearOperator(m.shape[0], lambda v: m @ v)

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from blo.errors import DivergenceError, NonPositiveCurvatureError
 from blo.linalg import (CGResult, LinearOperator, cg_solve, diagonal_operator,
-                        gaussian_vector, identity_operator, matrix_operator,
-                        neumann_apply, power_iteration_lmax)
+                        gaussian_vector, identity_operator, neumann_apply,
+                        power_iteration_lmax)
+
+from reference import matrix_operator
 
 
 def random_spd(dim, seed):

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 import blo.metrics
 from blo.errors import MissingOracleError
-from blo.linalg import cg_solve, matrix_operator
+from blo.linalg import cg_solve
 from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, AnalyticOracle,
                          TraceRecord, hypergrad_error, kkt_residual,
                          kkt_residual_aggregated, lyapunov_value, quadratic_oracle)
-from blo.problem import Counts, aggregate
+from blo.problem import Counts
 from blo.solvers import (MethodSpec, ScheduleConfig, SolverState, StopRule,
                          _make_record, rhg_hypergradient, run_solver)
 from blo.testbeds import make_quadratic
+
+from reference import aggregate, matrix_operator
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blo.errors import CapabilityError
-from blo.problem import Counts, aggregate, counting_problem, fd_check_gradients
+from blo.problem import Counts, fd_check_gradients
 from blo.testbeds import make_quadratic
+
+from reference import aggregate, counting_problem
 
 
 @pytest.fixture(scope="module")

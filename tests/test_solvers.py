@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blo.errors import DivergenceError, SingularHessianError
+from blo.errors import CapabilityError, DivergenceError, SingularHessianError
 from blo.linalg import cg_solve
-from blo.problem import BilevelProblem, aggregate
+from blo.metrics import kkt_residual, kkt_residual_aggregated
+from blo.problem import BilevelProblem, Counts
 from blo.solvers import (METHOD_NAMES, MethodSpec, RunSummary, ScheduleConfig,
                          SolverState, StopRule, _ensure_finite, bagdc_step,
                          bda_hypergradient, implicit_cg_hypergradient,
@@ -16,6 +17,8 @@ from blo.solvers import (METHOD_NAMES, MethodSpec, RunSummary, ScheduleConfig,
                          rhg_hypergradient, run_solver, schedule_at)
 from blo.testbeds import (corrupt_labels, hypercleaning_problem, make_multimin,
                           make_quadratic, split_dataset, synth_blobs)
+
+from reference import aggregate, counting_problem
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +336,131 @@ class TestLeanStepEquivalence:
         bagdc_step(state, p, 0.0, 0.1, 0.5, 0.5)
         assert calls == ["grad_y_ll", "grad_y_ul", "hvp_yy_ll", "grad_x_ul",
                          "jvp_xy_ll"]
+
+
+def psi_surface_counts(calls, blended):
+    """(grads, hvps, jvps) a spy saw, counted at the psi surface.
+
+    With ``blended`` (mu > 0) each ``*_ul`` call directly followed by its
+    ``*_ll`` twin is one psi product, and no ``*_ll`` call or base product
+    may be left unpaired."""
+    merged = []
+    for name in calls:
+        stem = name[:-3]
+        if blended and name.endswith("_ll") and merged and merged[-1] == stem + "_ul":
+            merged[-1] = stem
+        else:
+            merged.append(name)
+    if blended:
+        assert not [n for n in merged
+                    if n.endswith("_ll") or n in ("hvp_yy_ul", "jvp_xy_ul")], merged
+    return tuple(sum(n.startswith(kind) for n in merged)
+                 for kind in ("grad", "hvp", "jvp"))
+
+
+_QUAD3 = _TESTBEDS["quadratic"]
+_ZERO_RHS = tiny_problem(g_up=(0.0, 0.0))
+# u'Hu = |u|^2 > 0, but H is not symmetric, so CG never meets its tolerance
+_NO_CG_CONVERGENCE = dataclasses.replace(
+    tiny_problem(), hvp_yy_ll=lambda x, y, u: np.array([u[0] + 0.5 * u[1],
+                                                       u[1] - 0.5 * u[0]]))
+
+# name -> (problem, mu, step returning Counts, counts its loop bounds give)
+_COUNT_CASES = {
+    "bagdc": (_QUAD3, 0.0, lambda p, s: bagdc_step(s, p, 0.0, 0.1, 0.5, 0.5)[1].counts,
+              (3, 1, 1)),
+    "bagdc-mu-adaptive": (_QUAD3, 0.25, lambda p, s: bagdc_step(
+        s, p, 0.25, 0.1, 0.5, 0.5, adaptive=True)[1].counts, (3, 2, 1)),
+    "nosa": (_QUAD3, 0.0, lambda p, s: nosa_step(s, p, 0.1, 0.5)[1].counts, (3, 0, 1)),
+    "rhg": (_QUAD3, 0.0, lambda p, s: rhg_hypergradient(
+        p, s.x, s.y, T=6, beta=0.4).inner_cost, (8, 6, 6)),
+    "implicit-cg": (_QUAD3, 0.0, lambda p, s: implicit_cg_hypergradient(
+        p, s.x, s.y, T=4, beta=0.4, eps=1e-10).inner_cost, None),
+    "implicit-cg-zero-rhs": (_ZERO_RHS, 0.0, lambda p, s: implicit_cg_hypergradient(
+        p, s.x[:2], s.y[:2], T=3, beta=0.4, eps=1e-10).inner_cost, (5, 0, 1)),
+    # CG stops at its 5m + 50 products
+    "implicit-cg-max-iter": (_NO_CG_CONVERGENCE, 0.0, lambda p, s: implicit_cg_hypergradient(
+        p, s.x[:2], s.y[:2], T=2, beta=0.4, eps=1e-10).inner_cost, (4, 60, 1)),
+    "implicit-ns": (_QUAD3, 0.0, lambda p, s: implicit_ns_hypergradient(
+        p, s.x, s.y, T=3, beta=0.4, M=7).inner_cost, (5, 7, 1)),
+    "implicit-ns-M0": (_QUAD3, 0.0, lambda p, s: implicit_ns_hypergradient(
+        p, s.x, s.y, T=3, beta=0.4, M=0).inner_cost, (5, 0, 1)),
+    "bda-mu0": (_QUAD3, 0.0, lambda p, s: bda_hypergradient(
+        p, s.x, s.y, T=5, mu=0.0, lam=1.0, beta=0.4).inner_cost, (7, 5, 5)),
+    "bda": (_QUAD3, 0.3, lambda p, s: bda_hypergradient(
+        p, s.x, s.y, T=5, mu=0.3, lam=2.0, beta=0.4).inner_cost, (7, 5, 5)),
+}
+
+
+class TestReportedCounts:
+    """Every method reports the oracle calls it makes, counted from its
+    loop bounds; a spy on the base problem sees the same numbers."""
+
+    @pytest.mark.parametrize("case", sorted(_COUNT_CASES))
+    def test_reported_counts_match_the_calls_seen(self, case):
+        problem, mu, step, expected = _COUNT_CASES[case]
+        calls = []
+        rng = np.random.default_rng(11)
+        state = SolverState(rng.standard_normal(3), rng.standard_normal(3),
+                            rng.standard_normal(3))
+        counts = step(spy_problem(problem, calls), state)
+        got = (counts.grads, counts.hvps, counts.jvps)
+        assert got == psi_surface_counts(calls, blended=mu > 0.0)
+        if expected is not None:
+            assert got == expected
+
+
+class TestPsiBlendReference:
+    """``bda`` and ``kkt_residual_aggregated`` blend the base products
+    exactly as the ``aggregate``d problem evaluates them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(testbed=st.sampled_from(sorted(_TESTBEDS)),
+           mu=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True)),
+           lam=st.floats(0.1, 4.0), T=st.integers(1, 12),
+           beta=st.floats(1e-3, 1.0), seed=st.integers(0, 10_000))
+    def test_bda_equals_unrolling_the_aggregated_problem(self, testbed, mu, lam, T,
+                                                         beta, seed):
+        problem = _TESTBEDS[testbed]
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(problem.n), rng.standard_normal(problem.m)
+        got = bda_hypergradient(problem, x, y, T, mu, lam, beta)
+        seen = Counts()
+        ref = rhg_hypergradient(counting_problem(aggregate(problem, mu, lam), seen),
+                                x, y, T, beta)
+        np.testing.assert_array_equal(got.d, ref.d)
+        np.testing.assert_array_equal(got.y_out, ref.y_out)
+        assert got.inner_cost == ref.inner_cost == seen
+
+    @settings(max_examples=60, deadline=None)
+    @given(testbed=st.sampled_from(sorted(_TESTBEDS)),
+           mu=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True)),
+           lam=st.floats(0.1, 4.0), seed=st.integers(0, 10_000))
+    def test_aggregated_residual_equals_residual_of_the_aggregated_problem(
+            self, testbed, mu, lam, seed):
+        problem = _TESTBEDS[testbed]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(problem.n)
+        y, v = rng.standard_normal(problem.m), rng.standard_normal(problem.m)
+        assert (kkt_residual_aggregated(problem, x, y, v, mu, lam)
+                == kkt_residual(aggregate(problem, mu, lam), x, y, v))
+
+    @pytest.mark.parametrize("mu, lam, strip, error", [
+        (0.6, 1.0, False, ValueError),
+        (-0.1, 1.0, False, ValueError),
+        (0.3, 0.0, False, ValueError),
+        (0.0, 0.0, False, ValueError),
+        (0.3, 1.0, True, CapabilityError),
+    ])
+    def test_bda_rejects_weights_before_any_oracle_call(self, mu, lam, strip, error):
+        calls = []
+        problem = spy_problem(_QUAD3, calls)
+        if strip:
+            problem = dataclasses.replace(problem, hvp_yy_ul=None, jvp_xy_ul=None)
+        with pytest.raises(error):
+            bda_hypergradient(problem, np.zeros(3), np.zeros(3), T=3, mu=mu,
+                              lam=lam, beta=0.4)
+        assert calls == []
 
 
 def breaking_problem(problem, kind, broken):

@@ -109,7 +109,7 @@ class TestMultiMinimizer:
             assert report.passed, str(report)
 
     def test_aggregated_oracle_stationarity(self):
-        from blo.problem import aggregate
+        from reference import aggregate
         mm = make_multimin()
         for seed in range(10):
             rng = np.random.default_rng(seed)
