@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import typing
 from dataclasses import dataclass
 
@@ -115,11 +116,27 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _float(val, path: str) -> float:
+    """A JSON number as a float; ``json`` reads NaN and Infinity, which no
+    field can use."""
+    try:
+        out = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{path}: expected a finite number, got {out}")
+    return out
+
+
+def _vector(val: list, path: str) -> tuple[float, ...]:
+    return tuple(_float(c, f"{path}[{i}]") for i, c in enumerate(val))
+
+
 def _spectrum(val, path: str):
     if val == "identity":
         return val
     if isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)):
-        return (float(val[0]), float(val[1]))
+        return _vector(val, path)
     raise ConfigError(f"{path}: expected \"identity\" or [lmin, lmax]")
 
 
@@ -127,7 +144,7 @@ def _z0(val, path: str):
     if val in ("ones", "random"):
         return val
     if isinstance(val, list) and all(map(_is_number, val)):
-        return tuple(float(c) for c in val)
+        return _vector(val, path)
     raise ConfigError(f"{path}: expected \"ones\", \"random\", or a vector")
 
 
@@ -149,7 +166,7 @@ def _leaf(val, kind, path: str):
             return None
         kind = typing.get_args(kind)[0]
     if kind is float and _is_number(val):
-        return float(val)
+        return _float(val, path)
     if kind is not float and isinstance(val, kind) and not isinstance(val, bool):
         return val
     raise ConfigError(f"{path}: expected {_EXPECTED[kind]}, got {type(val).__name__}")

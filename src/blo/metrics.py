@@ -28,7 +28,7 @@ def _kkt(p: BilevelProblem, w: tuple[float, float] | None, x: Array, y: Array,
     rx = p.grad_x_ul(x, y) - psi_product(w, p.jvp_xy_ul, p.jvp_xy_ll, x, y, v)
     ry = p.grad_y_ul(x, y) - psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y, v)
     rf = psi_product(w, p.grad_y_ul, p.grad_y_ll, x, y)
-    return float(rx @ rx + ry @ ry + rf @ rf)
+    return float(rx.dot(rx) + ry.dot(ry) + rf.dot(rf))
 
 
 def kkt_residual(problem: BilevelProblem, x: Array, y: Array, v: Array) -> float:
@@ -73,10 +73,14 @@ def lyapunov_value(problem: BilevelProblem, oracle: AnalyticOracle,
     if oracle is None or oracle.y_star_mu is None or oracle.v_star_mu is None:
         raise MissingOracleError("lyapunov_value needs y_star_mu and v_star_mu")
     ys = oracle.y_star_mu(x, mu, lam)
-    vs = oracle.v_star_mu(x, mu, lam)
-    dy = y - ys
-    dv = v - vs
-    return float(problem.ul_value(x, ys) + 0.5 * (dy @ dy) + 0.5 * (dv @ dv))
+    return _lyapunov(problem, oracle, x, ys, y - ys, v, mu, lam)
+
+
+def _lyapunov(problem: BilevelProblem, oracle: AnalyticOracle, x: Array,
+              ys: Array, dy: Array, v: Array, mu: float, lam: float) -> float:
+    """The value at a known ys = y*_mu(x), dy = y - ys (a trace row's dist_y)."""
+    dv = v - oracle.v_star_mu(x, mu, lam)
+    return float(problem.ul_value(x, ys) + 0.5 * dy.dot(dy) + 0.5 * dv.dot(dv))
 
 
 def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
@@ -150,15 +154,7 @@ TRACE_HEADER = ",".join(TRACE_COLUMNS)
 _row_values = attrgetter(*TRACE_COLUMNS)
 
 
-def _cell(val) -> str:
-    if val is None:
-        return ""
-    if isinstance(val, int):
-        return str(val)
-    return repr(float(val))
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     """One row of a solver trace; counters are cumulative for the run."""
 
@@ -182,4 +178,6 @@ class TraceRecord:
     def csv_row(self) -> str:
         """Cells by value: None is empty, an int prints as str, anything
         else as repr(float(value))."""
-        return ",".join(map(_cell, _row_values(self)))
+        return ",".join([repr(val) if type(val) is float else "" if val is None
+                         else str(val) if isinstance(val, int) else repr(float(val))
+                         for val in _row_values(self)])

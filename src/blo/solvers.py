@@ -35,7 +35,8 @@ from .errors import (CapabilityError, DivergenceError, FieldError,
                      NonPositiveCurvatureError, SingularHessianError)
 from .linalg import (Array, LinearOperator, _norm, cg_solve, neumann_apply,
                      power_iteration_lmax)
-from .metrics import AnalyticOracle, TraceRecord, kkt_residual, kkt_residual_aggregated, lyapunov_value
+from .metrics import (AnalyticOracle, TraceRecord, _lyapunov, kkt_residual,
+                      kkt_residual_aggregated)
 from .problem import BilevelProblem, Counts, psi_product, psi_weights
 
 METHOD_NAMES = ("bagdc", "nosa", "rhg", "implicit-cg", "implicit-ns", "bda")
@@ -331,8 +332,11 @@ class MethodSpec:
         if self.name not in METHOD_NAMES:
             raise FieldError("name", f"unknown method {self.name!r} "
                                      f"(expected one of {METHOD_NAMES})")
-        if self.name in ("rhg", "bda") and self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
+        t_min = 1 if self.name in ("rhg", "bda") else 0
+        if self.T < t_min:
+            raise ValueError(f"T must be >= {t_min}, got {self.T}")
+        if self.eps <= 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.M < 0:
             raise ValueError(f"M must be >= 0, got {self.M}")
         if not 0.0 <= self.mu <= 0.5:
@@ -357,6 +361,12 @@ class StopRule:
         if (self.max_iters is None and self.max_seconds is None
                 and self.d_norm_tol is None and self.kkt_tol is None):
             raise ValueError("at least one stop criterion must be set")
+        if self.max_iters is not None and self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        for name in ("d_norm_tol", "kkt_tol"):
+            val = getattr(self, name)
+            if val is not None and val < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {val}")
 
 
 _OK_STATUSES = ("converged", "max-iters", "time-limit")
@@ -378,13 +388,8 @@ class RunSummary:
         return self.status in _OK_STATUSES
 
 
-def _try_metric(fn):
-    # oracle metrics can overflow (CG on a diverging iterate); record a
-    # blank cell rather than killing the run
-    try:
-        return fn()
-    except (NonPositiveCurvatureError, DivergenceError, FloatingPointError):
-        return None
+# a failing oracle metric (CG on a diverging iterate) blanks its cells, not the run
+_METRIC_ERRORS = (NonPositiveCurvatureError, DivergenceError, FloatingPointError)
 
 
 def _make_record(problem, oracle, state, d_norm, mu_k, a_k, b_k, e_k,
@@ -392,23 +397,29 @@ def _make_record(problem, oracle, state, d_norm, mu_k, a_k, b_k, e_k,
     x, y, v = state.x, state.y, state.v
     grad_phi_norm = dist_x_rel = dist_y = lyap = None
     if oracle is not None:
-        grad_phi_norm = _try_metric(lambda: _norm(oracle.grad_phi(x)))
+        try:
+            grad_phi_norm = _norm(oracle.grad_phi(x))
+        except _METRIC_ERRORS:
+            pass
         if oracle.x_star is not None:
             denom = max(_norm(oracle.x_star), 1e-12)
             dist_x_rel = _norm(x - oracle.x_star) / denom
-        if oracle.y_star_mu is not None:
-            dist_y = _try_metric(lambda: _norm(y - oracle.y_star_mu(x, mu_k, lam)))
-        else:
-            dist_y = _try_metric(lambda: _norm(y - oracle.y_star(x)))
-        if oracle.y_star_mu is not None and oracle.v_star_mu is not None:
-            lyap = _try_metric(
-                lambda: lyapunov_value(problem, oracle, x, y, v, mu_k, lam))
+        try:
+            if oracle.y_star_mu is None:
+                dist_y = _norm(y - oracle.y_star(x))
+            else:
+                ys = oracle.y_star_mu(x, mu_k, lam)
+                dy = y - ys
+                dist_y = _norm(dy)
+                if oracle.v_star_mu is not None:
+                    lyap = _lyapunov(problem, oracle, x, ys, dy, v, mu_k, lam)
+        except _METRIC_ERRORS:
+            pass
     return TraceRecord(
-        k=state.k - 1, wall_seconds=seconds, ul_value=float(problem.ul_value(x, y)),
-        ll_value=float(problem.ll_value(x, y)), d_norm=d_norm,
-        kkt_residual=kkt_residual(problem, x, y, v), grad_phi_norm=grad_phi_norm,
-        dist_x_rel=dist_x_rel, dist_y=dist_y, lyapunov=lyap, mu=mu_k, alpha=a_k,
-        beta=b_k, eta=e_k, hvp_count=totals.hvps, jvp_count=totals.jvps)
+        state.k - 1, seconds, float(problem.ul_value(x, y)),
+        float(problem.ll_value(x, y)), d_norm, kkt_residual(problem, x, y, v),
+        grad_phi_norm, dist_x_rel, dist_y, lyap, mu_k, a_k, b_k, e_k,
+        totals.hvps, totals.jvps)
 
 
 def _dispatch_step(state: SolverState, problem: BilevelProblem, method: MethodSpec,

@@ -174,6 +174,62 @@ class TestValidationErrors:
                 parse_config(doc)
 
 
+# JSON fragments that parse as JSON but cannot run: Python's json reads NaN
+# and Infinity, and these stop rules or method parameters never end a run or
+# run a meaningless one.  Each is merged into a quadratic bagdc run.
+UNWORKABLE = [
+    ('"schedule": {"alpha": NaN}', r"runs\[0\]\.schedule\.alpha: expected a finite number, got nan"),
+    ('"schedule": {"lam": Infinity}', r"runs\[0\]\.schedule\.lam: expected a finite number, got inf"),
+    ('"schedule": {"eta": [1.0, -Infinity]}',
+     r"runs\[0\]\.schedule\.eta: expected a finite number, got -inf"),
+    ('"schedule": {"beta": 1' + "0" * 400 + '}',
+     r"runs\[0\]\.schedule\.beta: expected a finite number, got inf"),
+    ('"problem": {"family": "quadratic", "n": 5, "spectrum": [1, Infinity]}',
+     r"runs\[0\]\.problem\.spectrum\[1\]: expected a finite number, got inf"),
+    ('"problem": {"family": "quadratic", "n": 3, "z0": [1, NaN, 3]}',
+     r"runs\[0\]\.problem\.z0\[1\]: expected a finite number, got nan"),
+    ('"stop": {"kkt_tol": NaN}', r"runs\[0\]\.stop\.kkt_tol: expected a finite number, got nan"),
+    ('"stop": {"max_seconds": Infinity}',
+     r"runs\[0\]\.stop\.max_seconds: expected a finite number, got inf"),
+    ('"stop": {"d_norm_tol": -1.0}', r"runs\[0\]\.stop: d_norm_tol must be >= 0, got -1\.0"),
+    ('"stop": {"kkt_tol": -1e-9}', r"runs\[0\]\.stop: kkt_tol must be >= 0, got -1e-09"),
+    ('"stop": {"max_iters": -3}', r"runs\[0\]\.stop: max_iters must be >= 0, got -3"),
+    ('"method": {"name": "bagdc", "eps": -1.0}', r"runs\[0\]\.method: eps must be positive, got -1\.0"),
+    ('"method": {"name": "implicit-cg", "eps": 0}', r"runs\[0\]\.method: eps must be positive, got 0"),
+    ('"method": {"name": "implicit-cg", "T": -3}', r"runs\[0\]\.method: T must be >= 0, got -3"),
+    ('"method": {"name": "bda", "T": -3}', r"runs\[0\]\.method: T must be >= 1, got -3"),
+]
+
+
+def _run_text(fragment: str) -> str:
+    base = {"problem": '"problem": {"family": "quadratic", "n": 5}',
+            "method": '"method": {"name": "bagdc"}'}
+    key = fragment.split('"')[1]
+    base[key] = fragment
+    return "{" + ", ".join(base.values()) + "}"
+
+
+class TestUnworkableValues:
+    @pytest.mark.parametrize("fragment, message", UNWORKABLE,
+                             ids=["alpha-nan", "lam-inf", "eta-sweep-inf", "beta-huge-int",
+                                  "spectrum-inf", "z0-nan", "kkt_tol-nan", "max_seconds-inf",
+                                  "d_norm_tol-negative", "kkt_tol-negative",
+                                  "max_iters-negative", "eps-negative", "eps-zero",
+                                  "implicit-cg-T-negative", "bda-T-negative"])
+    def test_rejected_with_its_path(self, fragment, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(_run_text(fragment))
+
+    @pytest.mark.parametrize("fragment", [
+        '"stop": {"max_iters": 0}', '"stop": {"d_norm_tol": 0, "kkt_tol": 0}',
+        '"method": {"name": "implicit-cg", "T": 0}', '"schedule": {"alpha": 1e308}',
+        '"problem": {"family": "quadratic", "n": 5, "spectrum": [1, 1e300]}',
+    ])
+    def test_edge_values_still_parse(self, fragment):
+        (cfg,) = parse_config(_run_text(fragment))
+        assert cfg.problem.family == "quadratic"
+
+
 class TestSweeps:
     def test_eta_sweep_expands(self):
         doc = json.dumps({"problem": {"family": "quadratic", "n": 10},

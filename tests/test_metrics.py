@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blo.metrics
-from blo.errors import MissingOracleError
+from blo.errors import DivergenceError, MissingOracleError, NonPositiveCurvatureError
 from blo.linalg import cg_solve
 from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, AnalyticOracle,
                          TraceRecord, hypergrad_error, kkt_residual,
@@ -14,7 +14,7 @@ from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, AnalyticOracle,
 from blo.problem import Counts
 from blo.solvers import (MethodSpec, ScheduleConfig, SolverState, StopRule,
                          _make_record, rhg_hypergradient, run_solver)
-from blo.testbeds import make_quadratic
+from blo.testbeds import make_multimin, make_quadratic
 
 from reference import aggregate, matrix_operator
 
@@ -300,3 +300,87 @@ class TestQuadraticOracleMemo:
             want = _ask(quadratic_oracle(a_op, z0), field, xs[i])
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         assert oracle.x_star.tobytes() == quadratic_oracle(a_op, z0).x_star.tobytes()
+
+
+def _multimin_rows(oracle, iters=10):
+    mm = make_multimin()
+    sched = ScheduleConfig(mode="merely-convex", alpha=1000.0, beta=0.9, eta=8.0)
+    rows = []
+    _, summary = run_solver(mm.problem, MethodSpec("bagdc"), sched,
+                            StopRule(max_iters=iters), oracle, sink=rows.append)
+    return rows, summary
+
+
+class TestFailingMetricCells:
+    """A metric whose oracle raises leaves its own cells empty; the rest
+    of the row and the run go on as without the failure."""
+
+    FAIL_AT = (2, 5, 9)  # trace rows whose x the failing callable refuses
+
+    def _compare(self, oracle, field, exc, blank):
+        want_rows, want = _multimin_rows(oracle)
+        seen = []
+        spy = dataclasses.replace(oracle, grad_phi=lambda x: seen.append(x.tobytes())
+                                  or oracle.grad_phi(x))
+        _multimin_rows(spy)  # grad_phi is asked once per row, at the row's x
+        refused = {seen[k] for k in self.FAIL_AT}
+        good = getattr(oracle, field)
+
+        def failing(x, *args):
+            if x.tobytes() in refused:
+                raise exc("refused")
+            return good(x, *args)
+
+        rows, summary = _multimin_rows(dataclasses.replace(oracle, **{field: failing}))
+        assert (summary.status, summary.iterations) == (want.status, want.iterations)
+        assert len(rows) == len(want_rows) == 10
+        for k, (got, ref) in enumerate(zip(rows, want_rows)):
+            for name in TRACE_COLUMNS[2:]:
+                if k in self.FAIL_AT and name in blank:
+                    assert getattr(ref, name) is not None, (k, name)
+                    assert getattr(got, name) is None, (k, name)
+                else:
+                    assert getattr(got, name) == getattr(ref, name), (k, name)
+        assert [summary.final[n] for n in blank] == [None] * len(blank)
+
+    @pytest.mark.parametrize("exc", [NonPositiveCurvatureError, DivergenceError,
+                                     FloatingPointError])
+    @pytest.mark.parametrize("field, blank", [
+        ("grad_phi", ("grad_phi_norm",)),
+        ("y_star_mu", ("dist_y", "lyapunov")),
+        ("v_star_mu", ("lyapunov",)),
+    ])
+    def test_only_dependent_cells_blank(self, field, blank, exc):
+        self._compare(make_multimin().oracle, field, exc, blank)
+
+    @pytest.mark.parametrize("exc", [NonPositiveCurvatureError, DivergenceError])
+    def test_y_star_without_aggregated_forms(self, exc):
+        # without y*_mu the distance is taken to y*(x) and there is no Lyapunov value
+        bare = dataclasses.replace(make_multimin().oracle, y_star_mu=None, v_star_mu=None)
+        self._compare(bare, "y_star", exc, ("dist_y",))
+
+    def test_other_errors_propagate(self):
+        oracle = make_multimin().oracle
+
+        def broken(x):
+            raise KeyError("not a metric failure")
+
+        with pytest.raises(KeyError):
+            _multimin_rows(dataclasses.replace(oracle, grad_phi=broken))
+
+
+def test_one_y_star_mu_per_row():
+    # dist_y and the Lyapunov value share one y*_mu(x) per trace row
+    oracle = make_multimin().oracle
+    calls = {"y_star_mu": 0, "v_star_mu": 0, "grad_phi": 0}
+
+    def spy(field):
+        def counted(*args):
+            calls[field] += 1
+            return getattr(oracle, field)(*args)
+        return counted
+
+    rows, _ = _multimin_rows(dataclasses.replace(
+        oracle, **{field: spy(field) for field in calls}), iters=25)
+    assert all(r.dist_y is not None and r.lyapunov is not None for r in rows)
+    assert calls == {"y_star_mu": 25, "v_star_mu": 25, "grad_phi": 25}

@@ -937,6 +937,25 @@ class TestGoldenTrace:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "eda6a97531a831c2918b50b0f103269182befea37ad94704b3a64c90da105d71")
 
+    def test_trace_sweep_multimin_rows(self):
+        # SHA-256 of 300 consecutive rows (without wall_seconds) of the
+        # benchmark's trace-sweep schedule at alpha 1000, eta 8: every row
+        # carries every oracle metric, so it pins the row computation
+        mm = make_multimin()
+        sched = ScheduleConfig(mode="merely-convex", alpha=1000.0, beta=0.9,
+                               eta=8.0, mu_bar=0.5, p=1.0 / 12.0, lam=1.0)
+        rows = []
+        _, summary = run_solver(mm.problem, MethodSpec("bagdc"), sched,
+                                StopRule(max_iters=300), mm.oracle,
+                                sink=rows.append, trace_every=1)
+        text = "".join(
+            ",".join(c for i, c in enumerate(r.csv_row().split(",")) if i != 1) + "\n"
+            for r in rows)
+        assert summary.status == "max-iters" and len(rows) == 300
+        assert "" not in text.replace("\n", ",").split(",")[:-1]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f9f5e7a6084f03200fd25d1e268a237dd36d12418fb7b6746997793684b50240")
+
     @staticmethod
     def hypercleaning_trace_digest(classes, dim, per_class, n_train, seed):
         """SHA-256 of the trace rows (without wall_seconds) of a synthetic
