@@ -17,10 +17,6 @@ class CapabilityError(ValueError):
     """A problem lacks the optional oracle surface an operation requires."""
 
 
-class MissingOracleError(ValueError):
-    """A metric that needs a closed-form oracle was called without one."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration failed validation."""
 

@@ -31,9 +31,6 @@ class LinearOperator:
     dim: int
     apply: Callable[[Array], Array]
 
-    def __call__(self, v: Array) -> Array:
-        return self.apply(v)
-
 
 def identity_operator(dim: int) -> LinearOperator:
     return LinearOperator(dim, lambda v: np.array(v, dtype=float))
@@ -114,10 +111,6 @@ def neumann_apply(op: LinearOperator, b: Array, step: float, terms: int) -> Arra
     Approximates ``op^{-1} b`` when ``step * ||op|| < 1``; the caller owns
     that bound, and a visibly divergent accumulation raises.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if terms < 0:
-        raise ValueError(f"terms must be >= 0, got {terms}")
     b = np.asarray(b, dtype=float)
     term = b.copy()
     acc = b.copy()
@@ -137,8 +130,6 @@ def power_iteration_lmax(op: LinearOperator, iters: int = 100, seed: int = 0) ->
     Deterministic for a fixed seed.  Returns 0.0 if an iterate is mapped
     to the zero vector (in particular for the zero operator).
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
     v = gaussian_vector(op.dim, seed)
     v /= float(np.linalg.norm(v))
     for _ in range(iters):
@@ -152,6 +143,4 @@ def power_iteration_lmax(op: LinearOperator, iters: int = 100, seed: int = 0) ->
 
 def gaussian_vector(dim: int, seed: int) -> Array:
     """A standard-normal draw of length ``dim``, deterministic per seed."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
     return np.random.default_rng(seed).standard_normal(dim)

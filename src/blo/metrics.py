@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingOracleError
 from .linalg import Array, LinearOperator, _norm, cg_solve, gaussian_vector
 from .problem import BilevelProblem, psi_product, psi_weights
 
@@ -42,10 +41,8 @@ def kkt_residual_aggregated(problem: BilevelProblem, x: Array, y: Array,
     return _kkt(problem, psi_weights(problem, mu, lam), x, y, v)
 
 
-def hypergrad_error(d: Array, oracle: "AnalyticOracle | None", x: Array) -> float:
+def hypergrad_error(d: Array, oracle: AnalyticOracle, x: Array) -> float:
     """Distance of a hypergradient estimate from the oracle grad phi(x)."""
-    if oracle is None:
-        raise MissingOracleError("hypergrad_error needs an analytic oracle")
     return _norm(d - oracle.grad_phi(x))
 
 
@@ -67,18 +64,10 @@ class AnalyticOracle:
     grad_phi_mu: Callable[[Array, float, float], Array] | None = None
 
 
-def lyapunov_value(problem: BilevelProblem, oracle: AnalyticOracle,
-                   x: Array, y: Array, v: Array, mu: float, lam: float) -> float:
-    """F(x, y*_mu(x)) + 0.5|y - y*_mu(x)|^2 + 0.5|v - v*_mu(x)|^2."""
-    if oracle is None or oracle.y_star_mu is None or oracle.v_star_mu is None:
-        raise MissingOracleError("lyapunov_value needs y_star_mu and v_star_mu")
-    ys = oracle.y_star_mu(x, mu, lam)
-    return _lyapunov(problem, oracle, x, ys, y - ys, v, mu, lam)
-
-
 def _lyapunov(problem: BilevelProblem, oracle: AnalyticOracle, x: Array,
               ys: Array, dy: Array, v: Array, mu: float, lam: float) -> float:
-    """The value at a known ys = y*_mu(x), dy = y - ys (a trace row's dist_y)."""
+    """F(x, y*_mu(x)) + 0.5|y - y*_mu(x)|^2 + 0.5|v - v*_mu(x)|^2, at a known
+    ys = y*_mu(x) and dy = y - ys (a trace row's dist_y)."""
     dv = v - oracle.v_star_mu(x, mu, lam)
     return float(problem.ul_value(x, ys) + 0.5 * dy.dot(dy) + 0.5 * dv.dot(dv))
 

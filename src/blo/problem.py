@@ -52,13 +52,9 @@ class BilevelProblem:
 
 def psi_weights(base: BilevelProblem, mu: float,
                 lam: float) -> tuple[float, float] | None:
-    """Validated weights (w_ul, w_ll) = (mu*lam, 1 - mu) of psi = w_ul*F + w_ll*f,
-    or None for ``mu = 0`` (psi is f itself); ``mu > 0`` requires the base
-    problem's upper-level curvature products."""
-    if not 0.0 <= mu <= 0.5:
-        raise ValueError(f"mu must lie in [0, 1/2], got {mu}")
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    """Weights (w_ul, w_ll) = (mu*lam, 1 - mu) of psi = w_ul*F + w_ll*f, or None
+    for ``mu = 0`` (psi is f itself); ``mu > 0`` requires the base problem's
+    upper-level curvature products."""
     if mu == 0.0:
         return None
     if not base.has_ul_curvature:

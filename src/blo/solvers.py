@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -96,9 +96,7 @@ class ScheduleConfig:
 
 
 def schedule_at(cfg: ScheduleConfig, k: int) -> tuple[float, float, float, float]:
-    """(mu_k, alpha_k, beta_k, eta_k) for outer iteration k."""
-    if cfg.alpha is None or cfg.beta is None or cfg.eta is None:
-        raise ValueError("schedule has unresolved base steps; call resolve_schedule")
+    """(mu_k, alpha_k, beta_k, eta_k) for outer iteration k of a resolved schedule."""
     if cfg.mode == "strongly-convex":
         return 0.0, cfg.alpha, cfg.beta, cfg.eta
     mu = cfg.mu_bar * (k + 1.0) ** (-cfg.p)
@@ -211,8 +209,6 @@ def _unroll(problem: BilevelProblem, w: tuple[float, float] | None, x: Array,
             y0: Array, T: int, beta: float) -> HypergradientResult:
     """Reverse-mode unrolling of T gradient steps on psi with weights ``w``
     (f itself when None); the body of ``rhg_hypergradient``."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
     p = problem
     ys = [np.asarray(y0, dtype=float)]
     for _ in range(T):
@@ -244,6 +240,24 @@ def rhg_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
     return _unroll(problem, None, x, y0, T, beta)
 
 
+def _implicit(problem: BilevelProblem, x: Array, y0: Array, T: int, beta: float,
+              solve: Callable[[LinearOperator, Array], tuple[Array, int]]
+              ) -> HypergradientResult:
+    """T lower gradient steps to y_hat, then v from ``solve(H, b)`` (v and its
+    HVP count) for H = H_yy f(x, y_hat), b = grad_y F(x, y_hat), and
+    d = grad_x F - [J_xy f] v; the body of both implicit baselines."""
+    p = problem
+    y_hat = np.asarray(y0, dtype=float)
+    for _ in range(T):
+        y_hat = y_hat - beta * p.grad_y_ll(x, y_hat)
+        _ensure_finite(y_hat, "y")
+    h_op = LinearOperator(p.m, lambda u: p.hvp_yy_ll(x, y_hat, u))
+    v, hvps = solve(h_op, p.grad_y_ul(x, y_hat))
+    d = p.grad_x_ul(x, y_hat) - p.jvp_xy_ll(x, y_hat, v)
+    _ensure_finite(d, "d")
+    return HypergradientResult(d, y_hat, Counts(T + 2, hvps, 1), multiplier=v)
+
+
 def implicit_cg_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
                               T: int, beta: float, eps: float) -> HypergradientResult:
     """Implicit differentiation with a CG solve of the adjoint system.
@@ -254,24 +268,14 @@ def implicit_cg_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
     non-positive-definite Hessian surfaces as SingularHessianError.
     One HVP per CG iteration.
     """
-    p = problem
-    y_hat = np.asarray(y0, dtype=float)
-    for _ in range(T):
-        y_hat = y_hat - beta * p.grad_y_ll(x, y_hat)
-        _ensure_finite(y_hat, "y")
-    h_op = LinearOperator(p.m, lambda u: p.hvp_yy_ll(x, y_hat, u))
-    b = p.grad_y_ul(x, y_hat)
-    try:
-        cg = cg_solve(h_op, b, tol=eps, max_iter=5 * p.m + 50)
-    except SingularHessianError:
-        raise
-    except NonPositiveCurvatureError as exc:
-        raise SingularHessianError(
-            f"lower Hessian is singular or indefinite at the inner solution: {exc}") from exc
-    v = cg.x
-    d = p.grad_x_ul(x, y_hat) - p.jvp_xy_ll(x, y_hat, v)
-    _ensure_finite(d, "d")
-    return HypergradientResult(d, y_hat, Counts(T + 2, cg.iterations, 1), multiplier=v)
+    def solve(h_op: LinearOperator, b: Array) -> tuple[Array, int]:
+        try:
+            cg = cg_solve(h_op, b, tol=eps, max_iter=5 * problem.m + 50)
+        except NonPositiveCurvatureError as exc:
+            raise SingularHessianError(
+                f"lower Hessian is singular or indefinite at the inner solution: {exc}") from exc
+        return cg.x, cg.iterations
+    return _implicit(problem, x, y0, T, beta, solve)
 
 
 def implicit_ns_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
@@ -282,17 +286,8 @@ def implicit_ns_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
     this collapses to v = beta * grad_y F, the multiplier the one-step
     alternating scheme applies implicitly.  M HVPs.
     """
-    p = problem
-    y_hat = np.asarray(y0, dtype=float)
-    for _ in range(T):
-        y_hat = y_hat - beta * p.grad_y_ll(x, y_hat)
-        _ensure_finite(y_hat, "y")
-    h_op = LinearOperator(p.m, lambda u: p.hvp_yy_ll(x, y_hat, u))
-    b = p.grad_y_ul(x, y_hat)
-    v = neumann_apply(h_op, b, beta, M)
-    d = p.grad_x_ul(x, y_hat) - p.jvp_xy_ll(x, y_hat, v)
-    _ensure_finite(d, "d")
-    return HypergradientResult(d, y_hat, Counts(T + 2, M, 1), multiplier=v)
+    return _implicit(problem, x, y0, T, beta,
+                     lambda h_op, b: (neumann_apply(h_op, b, beta, M), M))
 
 
 def bda_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
@@ -301,10 +296,10 @@ def bda_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
 
     The ``rhg_hypergradient`` loop with every f gradient and product
     replaced by its ``psi_product`` blend of the base problem's calls;
-    mu = 0 is plain RHG.  The weights are checked (``psi_weights``)
-    before any oracle call.  Cost: (T + 2, T, T) at the psi surface, so
-    with mu > 0 each counted product is one ``*_ul`` and one ``*_ll``
-    call.
+    mu = 0 is plain RHG.  Whether mu > 0 has the upper curvature it
+    needs is checked (``psi_weights``) before any oracle call.  Cost:
+    (T + 2, T, T) at the psi surface, so with mu > 0 each counted
+    product is one ``*_ul`` and one ``*_ll`` call.
     """
     return _unroll(problem, psi_weights(problem, mu, lam), x, y0, T, beta)
 
@@ -363,7 +358,7 @@ class StopRule:
             raise ValueError("at least one stop criterion must be set")
         if self.max_iters is not None and self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        for name in ("d_norm_tol", "kkt_tol"):
+        for name in ("max_seconds", "d_norm_tol", "kkt_tol"):
             val = getattr(self, name)
             if val is not None and val < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {val}")
@@ -466,14 +461,10 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
     ``probe(k, state_before, state_after, d)`` is a hook for
     study-specific measurements.
     """
-    if trace_every < 1:
-        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
     state = state0 if state0 is not None else SolverState(
         np.zeros(problem.n), np.zeros(problem.m), np.zeros(problem.m))
     cfg, l_hat = resolve_schedule(schedule, problem, state.x, state.y, seed)
-    sched_info = {"mode": cfg.mode, "alpha": cfg.alpha, "beta": cfg.beta,
-                  "eta": cfg.eta, "mu_bar": cfg.mu_bar, "p": cfg.p,
-                  "lam": cfg.lam, "eta_rule": cfg.eta_rule, "l_hat": l_hat}
+    sched_info = {**asdict(cfg), "l_hat": l_hat}
     adaptive = cfg.eta_rule == "adaptive"
     # unset criteria become bounds that never fire
     max_iters = math.inf if stop.max_iters is None else stop.max_iters

@@ -4,7 +4,8 @@
 ``counting_problem`` counts the calls made on a problem.  The lean steps,
 the unrolling baselines and ``kkt_residual_aggregated`` must match
 ``aggregate`` bit for bit, and the counts they report must match what
-``counting_problem`` sees.
+``counting_problem`` sees.  A trace row's ``lyapunov`` cell must match
+``lyapunov_value`` bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from blo.linalg import LinearOperator
+from blo.linalg import Array, LinearOperator
+from blo.metrics import AnalyticOracle
 from blo.problem import BilevelProblem, Counts, psi_weights
 
 
@@ -58,6 +60,15 @@ def counting_problem(problem: BilevelProblem, counts: Counts) -> BilevelProblem:
         hvp_yy_ul=tick(problem.hvp_yy_ul, "hvps"),
         jvp_xy_ul=tick(problem.jvp_xy_ul, "jvps"),
     )
+
+
+def lyapunov_value(problem: BilevelProblem, oracle: AnalyticOracle,
+                   x: Array, y: Array, v: Array, mu: float, lam: float) -> float:
+    """F(x, y*_mu(x)) + 0.5|y - y*_mu(x)|^2 + 0.5|v - v*_mu(x)|^2."""
+    ys = oracle.y_star_mu(x, mu, lam)
+    dy = y - ys
+    dv = v - oracle.v_star_mu(x, mu, lam)
+    return float(problem.ul_value(x, ys) + 0.5 * dy.dot(dy) + 0.5 * dv.dot(dv))
 
 
 def matrix_operator(a) -> LinearOperator:

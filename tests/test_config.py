@@ -175,8 +175,10 @@ class TestValidationErrors:
 
 
 # JSON fragments that parse as JSON but cannot run: Python's json reads NaN
-# and Infinity, and these stop rules or method parameters never end a run or
-# run a meaningless one.  Each is merged into a quadratic bagdc run.
+# and Infinity, and these stop rules, method parameters, schedules and
+# problems never end a run or run a meaningless one.  The library assumes
+# parsed values, so these rows are the only checks of their rules.  Each is
+# merged into a quadratic bagdc run.
 UNWORKABLE = [
     ('"schedule": {"alpha": NaN}', r"runs\[0\]\.schedule\.alpha: expected a finite number, got nan"),
     ('"schedule": {"lam": Infinity}', r"runs\[0\]\.schedule\.lam: expected a finite number, got inf"),
@@ -198,6 +200,21 @@ UNWORKABLE = [
     ('"method": {"name": "implicit-cg", "eps": 0}', r"runs\[0\]\.method: eps must be positive, got 0"),
     ('"method": {"name": "implicit-cg", "T": -3}', r"runs\[0\]\.method: T must be >= 0, got -3"),
     ('"method": {"name": "bda", "T": -3}', r"runs\[0\]\.method: T must be >= 1, got -3"),
+    ('"stop": {"max_seconds": -1}', r"runs\[0\]\.stop: max_seconds must be >= 0, got -1\.0"),
+    ('"method": {"name": "bda", "mu": 0.6}',
+     r"runs\[0\]\.method: mu must lie in \[0, 1/2\], got 0\.6"),
+    ('"method": {"name": "bda", "lam": 0}', r"runs\[0\]\.method: lam must be positive, got 0\.0"),
+    ('"schedule": {"lam": 0}', r"runs\[0\]\.schedule: lam must be positive, got 0\.0"),
+    ('"problem": {"family": "quadratic", "n": 0}', r"runs\[0\]\.problem: n must be >= 1, got 0"),
+    ('"problem": {"family": "quadratic", "n": 5, "spectrum": [-1, 2]}',
+     r"runs\[0\]\.problem: spectrum bounds must satisfy 0 < lmin <= lmax, got \[-1\.0, 2\.0\]"),
+    ('"problem": {"family": "quadratic", "n": 5, "z0": [1, 2, 3]}',
+     r"runs\[0\]\.problem: z0 has 3 entries, expected n = 5"),
+    ('"problem": {"family": "hypercleaning", "rho": 1.5}',
+     r"runs\[0\]\.problem: rho must lie in \[0, 1\], got 1\.5"),
+    ('"problem": {"family": "hypercleaning", "reg_c": 0}',
+     r"runs\[0\]\.problem: reg_c must be positive, got 0\.0"),
+    ('"method": {"name": "implicit-ns", "M": -1}', r"runs\[0\]\.method: M must be >= 0, got -1"),
 ]
 
 
@@ -215,7 +232,11 @@ class TestUnworkableValues:
                                   "spectrum-inf", "z0-nan", "kkt_tol-nan", "max_seconds-inf",
                                   "d_norm_tol-negative", "kkt_tol-negative",
                                   "max_iters-negative", "eps-negative", "eps-zero",
-                                  "implicit-cg-T-negative", "bda-T-negative"])
+                                  "implicit-cg-T-negative", "bda-T-negative",
+                                  "max_seconds-negative", "bda-mu-above-half", "bda-lam-zero",
+                                  "schedule-lam-zero", "n-zero", "spectrum-negative",
+                                  "z0-wrong-length", "rho-above-one", "reg_c-zero",
+                                  "implicit-ns-M-negative"])
     def test_rejected_with_its_path(self, fragment, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(_run_text(fragment))
@@ -223,6 +244,7 @@ class TestUnworkableValues:
     @pytest.mark.parametrize("fragment", [
         '"stop": {"max_iters": 0}', '"stop": {"d_norm_tol": 0, "kkt_tol": 0}',
         '"method": {"name": "implicit-cg", "T": 0}', '"schedule": {"alpha": 1e308}',
+        '"stop": {"max_seconds": 0}',
         '"problem": {"family": "quadratic", "n": 5, "spectrum": [1, 1e300]}',
     ])
     def test_edge_values_still_parse(self, fragment):

@@ -112,13 +112,6 @@ class TestNeumannApply:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             neumann_apply(op, np.array([1.0]), 1e9, 400)
 
-    def test_validation(self):
-        op = identity_operator(1)
-        with pytest.raises(ValueError):
-            neumann_apply(op, np.ones(1), 0.0, 3)
-        with pytest.raises(ValueError):
-            neumann_apply(op, np.ones(1), 0.5, -1)
-
 
 class TestPowerIteration:
     def test_identity(self):
@@ -159,19 +152,11 @@ class TestGaussianVector:
         assert v.shape == (1,)
         assert np.isfinite(v[0])
 
-    def test_dim_validation(self):
-        with pytest.raises(ValueError):
-            gaussian_vector(0, 0)
-
 
 class TestOperators:
     def test_matrix_operator_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             matrix_operator(np.ones((2, 3)))
-
-    def test_call_forwards_to_apply(self):
-        op = diagonal_operator(np.array([2.0, 3.0]))
-        np.testing.assert_allclose(op(np.ones(2)), [2.0, 3.0])
 
 
 def reference_cg_solve(op, b, tol=1e-10, max_iter=None):

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blo.metrics
-from blo.errors import DivergenceError, MissingOracleError, NonPositiveCurvatureError
+from blo.errors import DivergenceError, NonPositiveCurvatureError
 from blo.linalg import cg_solve
-from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, AnalyticOracle,
-                         TraceRecord, hypergrad_error, kkt_residual,
-                         kkt_residual_aggregated, lyapunov_value, quadratic_oracle)
+from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, TraceRecord, hypergrad_error,
+                         kkt_residual, kkt_residual_aggregated, quadratic_oracle)
 from blo.problem import Counts
 from blo.solvers import (MethodSpec, ScheduleConfig, SolverState, StopRule,
                          _make_record, rhg_hypergradient, run_solver)
 from blo.testbeds import make_multimin, make_quadratic
 
-from reference import aggregate, matrix_operator
+from reference import aggregate, lyapunov_value, matrix_operator
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +127,6 @@ class TestHypergradError:
         res = rhg_hypergradient(quad.problem, x, np.zeros(2), T=1000, beta=0.5)
         assert hypergrad_error(res.d, quad.oracle, x) <= 1e-8
 
-    def test_requires_oracle(self):
-        with pytest.raises(MissingOracleError):
-            hypergrad_error(np.zeros(2), None, np.zeros(2))
-
 
 class TestLyapunov:
     def test_equals_ul_value_on_manifold(self, quad_spd):
@@ -156,12 +151,21 @@ class TestLyapunov:
         rhs = lyapunov_value(p, orc, x, b, a, 0.25, 1.0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_requires_aggregated_oracle(self, quad):
-        bare = AnalyticOracle(None, quad.oracle.y_star, quad.oracle.phi,
-                              quad.oracle.grad_phi)
-        z = np.zeros(2)
-        with pytest.raises(MissingOracleError):
-            lyapunov_value(quad.problem, bare, z, z, z, 0.1, 1.0)
+    @pytest.mark.parametrize("bed, sched", [
+        (make_multimin(), ScheduleConfig(mode="merely-convex", alpha=1000.0, beta=0.9,
+                                         eta=8.0, lam=2.0)),
+        (make_quadratic(4, spectrum=(0.5, 5.0), seed=3),
+         ScheduleConfig(mode="merely-convex", alpha=0.5, beta=0.2, eta=0.2)),
+    ])
+    def test_trace_cell_matches_reference(self, bed, sched):
+        rows, states = [], []
+        run_solver(bed.problem, MethodSpec("bagdc"), sched, StopRule(max_iters=12),
+                   bed.oracle, sink=rows.append,
+                   probe=lambda k, before, after, d: states.append(after))
+        assert len(rows) == len(states) == 12
+        for rec, s in zip(rows, states):
+            want = lyapunov_value(bed.problem, bed.oracle, s.x, s.y, s.v, rec.mu, sched.lam)
+            assert rec.lyapunov == want, rec.k
 
 
 def _rec(k, kkt):

@@ -56,14 +56,6 @@ class TestAggregate:
         rhs = mu * (lam * quad.problem.grad_y_ul(x, y) - quad.problem.grad_y_ll(x, y))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_mu_bounds(self, quad):
-        with pytest.raises(ValueError):
-            aggregate(quad.problem, -0.1, 1.0)
-        with pytest.raises(ValueError):
-            aggregate(quad.problem, 0.6, 1.0)
-        with pytest.raises(ValueError):
-            aggregate(quad.problem, 0.3, 0.0)
-
     def test_needs_ul_curvature(self, quad):
         stripped = dataclasses.replace(quad.problem, hvp_yy_ul=None, jvp_xy_ul=None)
         assert not stripped.has_ul_curvature

@@ -74,10 +74,6 @@ class TestScheduleConfig:
         ratio = schedule_at(cfg, 10 ** 6)[0] / schedule_at(cfg, 10 ** 6 + 1)[0]
         assert 1.0 < ratio < 1.0 + 1e-6
 
-    def test_unresolved_steps_rejected(self):
-        with pytest.raises(ValueError, match="unresolved"):
-            schedule_at(ScheduleConfig(alpha=0.1), 0)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="mode"):
             ScheduleConfig(mode="quadratic")
@@ -445,11 +441,8 @@ class TestPsiBlendReference:
         assert (kkt_residual_aggregated(problem, x, y, v, mu, lam)
                 == kkt_residual(aggregate(problem, mu, lam), x, y, v))
 
+    # the weights' ranges are MethodSpec's (tests/test_config.py UNWORKABLE)
     @pytest.mark.parametrize("mu, lam, strip, error", [
-        (0.6, 1.0, False, ValueError),
-        (-0.1, 1.0, False, ValueError),
-        (0.3, 0.0, False, ValueError),
-        (0.0, 0.0, False, ValueError),
         (0.3, 1.0, True, CapabilityError),
     ])
     def test_bda_rejects_weights_before_any_oracle_call(self, mu, lam, strip, error):
@@ -637,9 +630,9 @@ class TestRhg:
             assert res.inner_cost.jvps == T
             assert res.inner_cost.grads == T + 2
 
-    def test_t_must_be_positive(self, quad):
-        with pytest.raises(ValueError):
-            rhg_hypergradient(quad.problem, np.zeros(2), np.zeros(2), T=0, beta=0.5)
+    def test_t_must_be_positive(self):
+        with pytest.raises(ValueError, match="T must be >= 1, got 0"):
+            MethodSpec("rhg", T=0)
 
 
 class TestImplicitCg:
@@ -836,12 +829,6 @@ class TestRunSolver:
         assert [r.k for r in rows] == list(range(7))
         assert rows[-1].hvp_count == 7
         assert rows[-1].jvp_count == 7
-
-    def test_trace_every_validation(self, quad):
-        with pytest.raises(ValueError):
-            run_solver(quad.problem, MethodSpec("bagdc"),
-                       ScheduleConfig(alpha=0.1, beta=0.5, eta=0.5),
-                       StopRule(max_iters=1), trace_every=0)
 
     def test_probe_sees_every_iteration(self, quad):
         calls = []
