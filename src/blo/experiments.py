@@ -20,31 +20,23 @@ from typing import Callable, Sequence
 
 from .config import ConfigError, ExperimentConfig, ProblemSpec, config_to_dict
 from .dataio import load_idx
-from .metrics import AnalyticOracle, TRACE_HEADER, TraceRecord, hypergrad_error
-from .problem import BilevelProblem, Counts
+from .metrics import TRACE_HEADER, TraceRecord, hypergrad_error
+from .problem import Counts
 from .solvers import (MethodSpec, RunSummary, ScheduleConfig, SolverState,
                       StopRule, run_solver)
 from . import svgplot
 from .svgplot import AxesSpec, Series
-from .testbeds import (classifier_accuracy, corrupt_labels, f1_clean,
+from .testbeds import (Testbed, classifier_accuracy, corrupt_labels, f1_clean,
                        hypercleaning_problem, make_multimin, make_quadratic,
                        split_dataset, synth_blobs)
 
-@dataclass(frozen=True)
-class BuiltProblem:
-    problem: BilevelProblem
-    oracle: AnalyticOracle | None
-    aux: object = None
 
-
-def build_problem(spec: ProblemSpec) -> BuiltProblem:
+def build_problem(spec: ProblemSpec) -> Testbed:
     """Instantiate the testbed a ProblemSpec describes."""
     if spec.family == "quadratic":
-        qb = make_quadratic(spec.n, spectrum=spec.spectrum, z0=spec.z0, seed=spec.seed)
-        return BuiltProblem(qb.problem, qb.oracle, qb)
+        return make_quadratic(spec.n, spectrum=spec.spectrum, z0=spec.z0, seed=spec.seed)
     if spec.family == "multimin":
-        mm = make_multimin()
-        return BuiltProblem(mm.problem, mm.oracle, mm)
+        return make_multimin()
     # hypercleaning; the spec has checked its sizes and IDX paths
     if spec.idx_train is not None:
         train = load_idx(spec.idx_train, spec.idx_train_labels)
@@ -59,8 +51,7 @@ def build_problem(spec: ProblemSpec) -> BuiltProblem:
                            spec.separation, spec.seed)
         train, val = split_dataset(pool, spec.n_train, spec.seed + 1)
         train = corrupt_labels(train, spec.rho, spec.seed + 2)
-    hc = hypercleaning_problem(train, val, c=spec.reg_c)
-    return BuiltProblem(hc.problem, None, hc)
+    return hypercleaning_problem(train, val, c=spec.reg_c)
 
 
 def _summary_payload(summary: RunSummary, cfg: ExperimentConfig | None = None) -> dict:
@@ -88,7 +79,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _run_to_dir(built: BuiltProblem, cfg: ExperimentConfig, run_dir: Path,
+def _run_to_dir(built: Testbed, cfg: ExperimentConfig, run_dir: Path,
                 probe=None) -> tuple[SolverState, RunSummary, list[TraceRecord]]:
     run_dir.mkdir(parents=True, exist_ok=True)
     records: list[TraceRecord] = []
@@ -108,7 +99,7 @@ def _run_to_dir(built: BuiltProblem, cfg: ExperimentConfig, run_dir: Path,
 
 
 def _build_or_fail(cfg: ExperimentConfig, run_dir: Path
-                   ) -> tuple[BuiltProblem | None, RunSummary | None]:
+                   ) -> tuple[Testbed | None, RunSummary | None]:
     """``(built, None)``, or ``(None, summary)`` when the build fails (say, on
     a missing IDX file): that run's ``error``, written into ``run_dir``."""
     try:
@@ -216,7 +207,7 @@ class StudyRun:
     """One run of a study, as its probe, rows, figures and checks see it."""
 
     cfg: ExperimentConfig
-    built: BuiltProblem | None  # None when the build failed
+    built: Testbed | None  # None when the build failed
     probed: list = field(default_factory=list)  # what the study's probe recorded
     state: SolverState | None = None
     summary: RunSummary | None = None
@@ -518,13 +509,13 @@ def _hypercleaning_configs(seed: int, idx: dict[str, str] | None) -> list[Experi
 
 
 def _hypercleaning_probe(run: StudyRun):
-    hc = run.built.aux
+    built = run.built
     every = 20 if run.cfg.name == "bagdc" else 1
 
     def probe(k, before, after, d):
         if k % every == 0:
-            run.probed.append((k, after.elapsed, classifier_accuracy(hc.val, after.y),
-                               f1_clean(after.x, hc.train.clean_mask)))
+            run.probed.append((k, after.elapsed, classifier_accuracy(built.val, after.y),
+                               f1_clean(after.x, built.train.clean_mask)))
     return probe
 
 
@@ -546,7 +537,7 @@ def _hypercleaning_checks(runs: dict[str, StudyRun]) -> dict[str, bool]:
         checks["matched_accuracy_3x_faster"] = bool(hits) and hits[0] * 3.0 <= t_base
     bagdc = runs["bagdc"]
     if bagdc.cfg.problem.idx_train is None:  # only synthetic data marks corrupt labels
-        f1_final = f1_clean(bagdc.state.x, bagdc.built.aux.train.clean_mask)
+        f1_final = f1_clean(bagdc.state.x, bagdc.built.train.clean_mask)
         checks["clean_split_recovered"] = f1_final >= 0.8
     return checks
 

@@ -46,6 +46,13 @@ def _norm(a: Array) -> float:
     return math.sqrt(float(a.dot(a)))
 
 
+def ensure_finite(vec: Array, message: str) -> None:
+    """Raise ``DivergenceError(message)`` unless every entry of ``vec`` is finite."""
+    # one dot first; a finite vector whose square overflows passes below
+    if not math.isfinite(float(vec.dot(vec))) and not np.isfinite(vec).all():
+        raise DivergenceError(message)
+
+
 @dataclass(frozen=True)
 class CGResult:
     x: Array
@@ -117,9 +124,7 @@ def neumann_apply(op: LinearOperator, b: Array, step: float, terms: int) -> Arra
     apply = op.apply
     for _ in range(terms):
         term = term - step * apply(term)
-        # one dot first; a finite term whose square overflows passes below
-        if not math.isfinite(float(term.dot(term))) and not np.isfinite(term).all():
-            raise DivergenceError("Neumann series accumulation became non-finite")
+        ensure_finite(term, "Neumann series accumulation became non-finite")
         acc += term
     return step * acc
 

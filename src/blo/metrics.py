@@ -12,7 +12,7 @@ aggregated surrogate a solver iterates on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable
 
@@ -50,18 +50,15 @@ def hypergrad_error(d: Array, oracle: AnalyticOracle, x: Array) -> float:
 class AnalyticOracle:
     """Closed-form ground truth for a testbed.
 
-    ``y_star_mu``, ``v_star_mu`` and ``grad_phi_mu`` take (x, mu, lam)
-    and describe the aggregated lower level; they are present only when
-    the testbed has closed forms for them.
+    ``y_star_mu`` and ``v_star_mu`` take (x, mu, lam) and describe the
+    aggregated lower level; at mu = 0 ``y_star_mu`` is the lower solution
+    (the optimistic one where there are several).
     """
 
-    x_star: Array | None
-    y_star: Callable[[Array], Array]
-    phi: Callable[[Array], float]
+    x_star: Array
     grad_phi: Callable[[Array], Array]
-    y_star_mu: Callable[[Array, float, float], Array] | None = None
-    v_star_mu: Callable[[Array, float, float], Array] | None = None
-    grad_phi_mu: Callable[[Array, float, float], Array] | None = None
+    y_star_mu: Callable[[Array, float, float], Array]
+    v_star_mu: Callable[[Array, float, float], Array]
 
 
 def _lyapunov(problem: BilevelProblem, oracle: AnalyticOracle, x: Array,
@@ -80,8 +77,8 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
     definite; a handful of seeded Rayleigh quotients are checked.
 
     The oracle keeps its last three solves, keyed on the right-hand
-    side's bytes, and hands each caller its own copy; like its problem,
-    it is used by one thread at a time.
+    side's bytes; every callback returns a new array computed from them.
+    Like its problem, it is used by one thread at a time.
     """
     z0 = np.asarray(z0, dtype=float)
     n = a_op.dim
@@ -100,14 +97,7 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
             hit = solves[key] = cg_solve(a_op, w, tol=1e-12).x
             if len(solves) > 3:
                 del solves[next(iter(solves))]
-        return hit.copy()
-
-    def y_star(x: Array) -> Array:
-        return a_inv(x)
-
-    def phi(x: Array) -> float:
-        dx = x - z0
-        return float(0.5 * (dx @ dx) + 0.5 * (x @ a_inv(x)))
+        return hit
 
     def grad_phi(x: Array) -> Array:
         return (x - z0) + a_inv(x)
@@ -124,28 +114,13 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
         s = mu * lam + 1.0 - mu
         return y_star_mu(x, mu, lam) / s
 
-    def grad_phi_mu(x: Array, mu: float, lam: float) -> Array:
-        c = (1.0 - mu) / (mu * lam + 1.0 - mu)
-        return (x - z0) + c * c * a_inv(x)
-
-    return AnalyticOracle(x_star, y_star, phi, grad_phi,
-                          y_star_mu, v_star_mu, grad_phi_mu)
-
-
-# Column order of the per-run trace CSV; oracle-only fields may be empty.
-TRACE_COLUMNS = (
-    "k", "wall_seconds", "ul_value", "ll_value", "d_norm", "kkt_residual",
-    "grad_phi_norm", "dist_x_rel", "dist_y", "lyapunov",
-    "mu", "alpha", "beta", "eta", "hvp_count", "jvp_count",
-)
-TRACE_HEADER = ",".join(TRACE_COLUMNS)
-
-_row_values = attrgetter(*TRACE_COLUMNS)
+    return AnalyticOracle(x_star, grad_phi, y_star_mu, v_star_mu)
 
 
 @dataclass(slots=True)
 class TraceRecord:
-    """One row of a solver trace; counters are cumulative for the run."""
+    """One row of a solver trace, in the trace CSV's column order; oracle-only
+    fields may be empty.  Counters are cumulative for the run."""
 
     k: int
     wall_seconds: float
@@ -170,3 +145,9 @@ class TraceRecord:
         return ",".join([repr(val) if type(val) is float else "" if val is None
                          else str(val) if isinstance(val, int) else repr(float(val))
                          for val in _row_values(self)])
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+
+_row_values = attrgetter(*TRACE_COLUMNS)

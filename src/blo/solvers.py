@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import (CapabilityError, DivergenceError, FieldError,
                      NonPositiveCurvatureError, SingularHessianError)
-from .linalg import (Array, LinearOperator, _norm, cg_solve, neumann_apply,
-                     power_iteration_lmax)
+from .linalg import (Array, LinearOperator, _norm, cg_solve, ensure_finite,
+                     neumann_apply, power_iteration_lmax)
 from .metrics import (AnalyticOracle, TraceRecord, _lyapunov, kkt_residual,
                       kkt_residual_aggregated)
 from .problem import BilevelProblem, Counts, psi_product, psi_weights
@@ -121,12 +121,6 @@ def resolve_schedule(cfg: ScheduleConfig, problem: BilevelProblem,
     ), l_hat
 
 
-def _ensure_finite(vec: Array, name: str) -> None:
-    # one dot first; a finite vector whose square overflows passes below
-    if not math.isfinite(float(vec.dot(vec))) and not np.isfinite(vec).all():
-        raise DivergenceError(f"iterate {name} became non-finite")
-
-
 @dataclass(slots=True)
 class StepInfo:
     """Direction, oracle cost, and (for BAGDC) the eta actually used."""
@@ -171,9 +165,9 @@ def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
     x1 = x - alpha * d
     # one check for all three; a finite sum that overflows passes below
     if not math.isfinite(float(y1.dot(y1)) + float(v1.dot(v1)) + float(x1.dot(x1))):
-        _ensure_finite(y1, "y")
-        _ensure_finite(v1, "v")
-        _ensure_finite(x1, "x")
+        ensure_finite(y1, "iterate y became non-finite")
+        ensure_finite(v1, "iterate v became non-finite")
+        ensure_finite(x1, "iterate x became non-finite")
     new = SolverState(x1, y1, v1, state.k + 1, state.elapsed)
     return new, StepInfo(d, Counts(3, hvps, 1), eta_k)
 
@@ -188,11 +182,11 @@ def nosa_step(state: SolverState, problem: BilevelProblem, alpha: float,
     p = problem
     x, y = state.x, state.y
     y1 = y - beta * p.grad_y_ll(x, y)
-    _ensure_finite(y1, "y")
+    ensure_finite(y1, "iterate y became non-finite")
     g_up = p.grad_y_ul(x, y1)
     d = p.grad_x_ul(x, y1) - beta * p.jvp_xy_ll(x, y, g_up)
     x1 = x - alpha * d
-    _ensure_finite(x1, "x")
+    ensure_finite(x1, "iterate x became non-finite")
     new = SolverState(x1, y1, state.v, state.k + 1, state.elapsed)
     return new, StepInfo(d, Counts(3, 0, 1))
 
@@ -213,14 +207,14 @@ def _unroll(problem: BilevelProblem, w: tuple[float, float] | None, x: Array,
     ys = [np.asarray(y0, dtype=float)]
     for _ in range(T):
         y_next = ys[-1] - beta * psi_product(w, p.grad_y_ul, p.grad_y_ll, x, ys[-1])
-        _ensure_finite(y_next, "y")
+        ensure_finite(y_next, "iterate y became non-finite")
         ys.append(y_next)
     a = p.grad_y_ul(x, ys[T])
     d = p.grad_x_ul(x, ys[T])
     for t in range(T - 1, -1, -1):
         d = d - beta * psi_product(w, p.jvp_xy_ul, p.jvp_xy_ll, x, ys[t], a)
         a = a - beta * psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, ys[t], a)
-    _ensure_finite(d, "d")
+    ensure_finite(d, "iterate d became non-finite")
     return HypergradientResult(d, ys[T], Counts(T + 2, T, T))
 
 
@@ -250,11 +244,11 @@ def _implicit(problem: BilevelProblem, x: Array, y0: Array, T: int, beta: float,
     y_hat = np.asarray(y0, dtype=float)
     for _ in range(T):
         y_hat = y_hat - beta * p.grad_y_ll(x, y_hat)
-        _ensure_finite(y_hat, "y")
+        ensure_finite(y_hat, "iterate y became non-finite")
     h_op = LinearOperator(p.m, lambda u: p.hvp_yy_ll(x, y_hat, u))
     v, hvps = solve(h_op, p.grad_y_ul(x, y_hat))
     d = p.grad_x_ul(x, y_hat) - p.jvp_xy_ll(x, y_hat, v)
-    _ensure_finite(d, "d")
+    ensure_finite(d, "iterate d became non-finite")
     return HypergradientResult(d, y_hat, Counts(T + 2, hvps, 1), multiplier=v)
 
 
@@ -396,18 +390,12 @@ def _make_record(problem, oracle, state, d_norm, mu_k, a_k, b_k, e_k,
             grad_phi_norm = _norm(oracle.grad_phi(x))
         except _METRIC_ERRORS:
             pass
-        if oracle.x_star is not None:
-            denom = max(_norm(oracle.x_star), 1e-12)
-            dist_x_rel = _norm(x - oracle.x_star) / denom
+        dist_x_rel = _norm(x - oracle.x_star) / max(_norm(oracle.x_star), 1e-12)
         try:
-            if oracle.y_star_mu is None:
-                dist_y = _norm(y - oracle.y_star(x))
-            else:
-                ys = oracle.y_star_mu(x, mu_k, lam)
-                dy = y - ys
-                dist_y = _norm(dy)
-                if oracle.v_star_mu is not None:
-                    lyap = _lyapunov(problem, oracle, x, ys, dy, v, mu_k, lam)
+            ys = oracle.y_star_mu(x, mu_k, lam)
+            dy = y - ys
+            dist_y = _norm(dy)
+            lyap = _lyapunov(problem, oracle, x, ys, dy, v, mu_k, lam)
         except _METRIC_ERRORS:
             pass
     return TraceRecord(
@@ -437,7 +425,7 @@ def _dispatch_step(state: SolverState, problem: BilevelProblem, method: MethodSp
         res = bda_hypergradient(problem, state.x, state.y, method.T, method.mu,
                                 method.lam, b_k)
     x1 = state.x - a_k * res.d
-    _ensure_finite(x1, "x")
+    ensure_finite(x1, "iterate x became non-finite")
     v1 = res.multiplier if res.multiplier is not None else state.v
     new = SolverState(x1, res.y_out, v1, state.k + 1, state.elapsed)
     return new, StepInfo(res.d, res.inner_cost)

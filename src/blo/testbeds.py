@@ -18,25 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, LinearOperator, diagonal_operator, identity_operator
+from .linalg import Array, diagonal_operator, identity_operator
 from .metrics import AnalyticOracle, quadratic_oracle
 from .problem import BilevelProblem
+
+
+@dataclass(frozen=True)
+class Testbed:
+    """A built problem, its closed-form oracle if it has one, and, for
+    hyper-cleaning, the datasets it was built from."""
+
+    problem: BilevelProblem
+    oracle: AnalyticOracle | None = None
+    train: Dataset | None = None
+    val: Dataset | None = None
 
 
 # ---------------------------------------------------------------------------
 # quadratic family
 
 
-@dataclass(frozen=True)
-class QuadraticBilevel:
-    a_op: LinearOperator
-    z0: Array
-    problem: BilevelProblem
-    oracle: AnalyticOracle
-
-
 def make_quadratic(n: int, spectrum="identity", z0="ones",
-                   seed: int = 0) -> QuadraticBilevel:
+                   seed: int = 0) -> Testbed:
     """Build F = 0.5|x-z0|^2 + 0.5<y,Ay>, f = 0.5<y,Ay> - <x,y>.
 
     ``spectrum`` is ``"identity"`` or a pair (lmin, lmax) from which n
@@ -72,20 +75,14 @@ def make_quadratic(n: int, spectrum="identity", z0="ones",
         hvp_yy_ul=lambda x, y, u: a(u),
         jvp_xy_ul=lambda x, y, u: np.zeros(n),
     )
-    return QuadraticBilevel(a_op, z_vec, problem, quadratic_oracle(a_op, z_vec))
+    return Testbed(problem, quadratic_oracle(a_op, z_vec))
 
 
 # ---------------------------------------------------------------------------
 # multi-minimizer family
 
 
-@dataclass(frozen=True)
-class MultiMinimizerBilevel:
-    problem: BilevelProblem
-    oracle: AnalyticOracle
-
-
-def make_multimin() -> MultiMinimizerBilevel:
+def make_multimin() -> Testbed:
     """A fixed instance whose lower level is flat along y2.
 
     x in R, y in R^2 with f = 0.5*y1^2 - x*y1 (minimizer set
@@ -117,20 +114,13 @@ def make_multimin() -> MultiMinimizerBilevel:
         s = mu * lam + 1.0 - mu
         return np.array([(1.0 - mu) * (x[0] - 1.0) / (s * s), 0.0])
 
-    def grad_phi_mu(x: Array, mu: float, lam: float) -> Array:
-        s = mu * lam + 1.0 - mu
-        return np.array([(1.0 - mu) ** 2 * (x[0] - 1.0) / (s * s)])
-
     oracle = AnalyticOracle(
         x_star=np.array([1.0]),
-        y_star=lambda x: np.array([x[0], x[0]]),
-        phi=lambda x: float(0.5 * (x[0] - 1.0) ** 2),
         grad_phi=lambda x: np.array([x[0] - 1.0]),
         y_star_mu=y_star_mu,
         v_star_mu=v_star_mu,
-        grad_phi_mu=grad_phi_mu,
     )
-    return MultiMinimizerBilevel(problem, oracle)
+    return Testbed(problem, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +195,12 @@ def corrupt_labels(ds: Dataset, rho: float, seed: int) -> Dataset:
     return Dataset(ds.features, labels, ds.n_classes, mask)
 
 
-def f1_clean(x: Array, clean_mask: Array, threshold: float = 0.5) -> float:
-    """F1 of 'predicted clean' (sigmoid(x_i) > threshold) against the mask.
+def f1_clean(x: Array, clean_mask: Array) -> float:
+    """F1 of 'predicted clean' (sigmoid(x_i) > 0.5) against the mask.
 
     Returns 0.0 when positives exist but none are predicted (or none hit).
     """
-    pred = _sigmoid(np.asarray(x, dtype=float)) > threshold
+    pred = _sigmoid(np.asarray(x, dtype=float)) > 0.5
     clean = np.asarray(clean_mask, dtype=bool)
     tp = int(np.sum(pred & clean))
     if tp == 0:
@@ -284,38 +274,19 @@ def classifier_accuracy(ds: Dataset, w: Array) -> float:
     return float(np.mean(preds == ds.labels))
 
 
-def _content_cache(fn):
-    """``fn(a)``, read-only, for the last contents of ``a``.
-
-    The key is compared, not hashed: hashing the 8 KB key of a 1000-sample x
-    took 2.6 us a call on a 2-CPU x86_64 Xeon, comparing it 0.15 us.
-    """
-    last_key: bytes | None = None
-    last_value: tuple[Array, ...] = ()
-
-    def cached(a):
-        nonlocal last_key, last_value
-        a = np.asarray(a, dtype=float)
-        key = a.tobytes()
-        if key != last_key:
-            last_value = fn(a)
-            for arr in last_value:
-                arr.setflags(write=False)
-            last_key = key
-        return last_value
-    return cached
-
-
 def _trail_cache(fn):
-    """``fn(a)``, read-only, for the contents of ``a`` since the one before the
-    last run of misses.  Lookups see the top two; one that finds the third pops
-    the top, so a walk back over the run finds each of its points in turn.
+    """``fn(a)``, a tuple of read-only arrays, for the contents of ``a`` since
+    the one before the last run of misses.  Lookups see the top two; one that
+    finds the third pops the top, so a walk back over the run finds each of
+    its points in turn.  Keys are compared, not hashed: hashing the 8 KB key of
+    a 1000-sample x took 2.6 us a call on a 2-CPU x86_64 Xeon, comparing it
+    0.15 us.
 
     A ``bagdc`` step asks at y, y+, y: its runs of misses are one call long, so
     it keeps two values.  An ``rhg`` forward pass is a run of T misses, and its
     reverse pass asks at the same points newest first: one value per point.
     """
-    trail: list[tuple[bytes, Array]] = []  # newest last
+    trail: list[tuple[bytes, tuple[Array, ...]]] = []  # newest last
     missed = False  # the last call computed
 
     def cached(a):
@@ -333,23 +304,16 @@ def _trail_cache(fn):
         if not missed:  # a new run starts from the last value
             del trail[:-1]
         value = fn(a)
-        value.setflags(write=False)
+        for arr in value:
+            arr.setflags(write=False)
         trail.append((key, value))
         missed = True
         return value
     return cached
 
 
-@dataclass(frozen=True)
-class HyperCleaningProblem:
-    train: Dataset
-    val: Dataset
-    reg_c: float
-    problem: BilevelProblem
-
-
 def hypercleaning_problem(train: Dataset, val: Dataset,
-                          c: float = 1e-3) -> HyperCleaningProblem:
+                          c: float = 1e-3) -> Testbed:
     """Per-sample reweighting of a ridge-regularized softmax classifier.
 
     Lower level over flattened weights w (C x (d+1), bias column last):
@@ -360,14 +324,15 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
     The ridge makes f strongly convex in w, so the single-level residual
     is well posed; upper-level curvature products are not provided.
 
-    The callbacks share three caches: the train softmax of the last two w and
-    of the points an ``rhg`` forward pass made (see ``_trail_cache``),
-    sigmoid(x) of the last x, and the direction product a_tr @ U.T of the last u
-    (an ``rhg`` reverse step asks for both products at one u).  Softmax, label
-    residual and direction product are kept class-major, (C, N), so the
-    per-sample sums over classes run as whole-row adds (``_class_sum``); the
-    BLAS products see the row-major layouts their bits were made with.  None
-    is locked: call a problem from one thread at a time.
+    The callbacks share three caches with one policy (``_trail_cache``): the
+    train softmax of w, (sigmoid, sigmoid') of x, and the direction product
+    a_tr @ U.T of u (an ``rhg`` reverse step asks for both products at one u).
+    Each keeps its last two points and those of its last run of misses, such
+    as the points of an ``rhg`` forward pass.  Softmax, label residual and
+    direction product are kept class-major, (C, N), so the per-sample sums
+    over classes run as whole-row adds (``_class_sum``); the BLAS products
+    see the row-major layouts their bits were made with.  None is locked:
+    call a problem from one thread at a time.
     """
     if val.n_classes != train.n_classes or val.dim != train.dim:
         raise ValueError("train/val disagree on feature dim or class count")
@@ -387,11 +352,11 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
         return np.asarray(w, dtype=float).reshape(n_cls, p)
 
     # class-major (C, N) train softmax; (sigmoid, sigmoid')
-    train_softmax = _trail_cache(lambda w: _softmax(a_tr @ unpack(w).T).T)
-    sample_weights = _content_cache(lambda x: (s := _sigmoid(x), s * (1.0 - s)))
+    train_softmax = _trail_cache(lambda w: (_softmax(a_tr @ unpack(w).T).T,))
+    sample_weights = _trail_cache(lambda x: (s := _sigmoid(x), s * (1.0 - s)))
     # (a_tr @ U.T).T: rhg asks for jvp and hvp at one u, bagdc for hvp at the
     # v its last jvp was asked at
-    direction = _content_cache(
+    direction = _trail_cache(
         lambda u: (np.ascontiguousarray((a_tr @ unpack(u).T).T),))
 
     def ll_value(x, w):
@@ -402,7 +367,7 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
         return float(np.mean(_ce_losses(unpack(w), a_val, y_val)))
 
     def grad_y_ll(x, w):
-        r = train_softmax(w) - onehot_tr
+        r = train_softmax(w)[0] - onehot_tr
         r *= sample_weights(x)[0]
         return (_times(r, a_tr) / n_tr).ravel() + c * w
 
@@ -411,14 +376,14 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
         return (_times(r, a_val) / n_val).ravel()
 
     def hvp_yy_ll(x, w, u):
-        pm = train_softmax(w)
+        pm = train_softmax(w)[0]
         t = pm * direction(u)[0]
         t -= pm * _class_sum(t)
         t *= sample_weights(x)[0]
         return (_times(t, a_tr) / n_tr).ravel() + c * np.asarray(u, dtype=float)
 
     def jvp_xy_ll(x, w, u):
-        r = train_softmax(w) - onehot_tr
+        r = train_softmax(w)[0] - onehot_tr
         r *= direction(u)[0]
         return sample_weights(x)[1] * _class_sum(r) / n_tr
 
@@ -433,4 +398,4 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
         hvp_yy_ll=hvp_yy_ll,
         jvp_xy_ll=jvp_xy_ll,
     )
-    return HyperCleaningProblem(train, val, c, problem)
+    return Testbed(problem, train=train, val=val)

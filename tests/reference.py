@@ -71,6 +71,12 @@ def lyapunov_value(problem: BilevelProblem, oracle: AnalyticOracle,
     return float(problem.ul_value(x, ys) + 0.5 * dy.dot(dy) + 0.5 * dv.dot(dv))
 
 
+def a_operator(bed) -> LinearOperator:
+    """A quadratic testbed's A, as its lower Hessian product."""
+    zeros = np.zeros(bed.problem.n)
+    return LinearOperator(bed.problem.n, lambda u: bed.problem.hvp_yy_ll(zeros, zeros, u))
+
+
 def matrix_operator(a) -> LinearOperator:
     """An explicit square matrix as a ``LinearOperator``."""
     m = np.asarray(a, dtype=float)

@@ -212,6 +212,8 @@ UNWORKABLE = [
      r"runs\[0\]\.problem: z0 has 3 entries, expected n = 5"),
     ('"problem": {"family": "hypercleaning", "rho": 1.5}',
      r"runs\[0\]\.problem: rho must lie in \[0, 1\], got 1\.5"),
+    ('"problem": {"family": "hypercleaning", "rho": -0.1}',
+     r"runs\[0\]\.problem: rho must lie in \[0, 1\], got -0\.1"),
     ('"problem": {"family": "hypercleaning", "reg_c": 0}',
      r"runs\[0\]\.problem: reg_c must be positive, got 0\.0"),
     ('"method": {"name": "implicit-ns", "M": -1}', r"runs\[0\]\.method: M must be >= 0, got -1"),
@@ -235,8 +237,8 @@ class TestUnworkableValues:
                                   "implicit-cg-T-negative", "bda-T-negative",
                                   "max_seconds-negative", "bda-mu-above-half", "bda-lam-zero",
                                   "schedule-lam-zero", "n-zero", "spectrum-negative",
-                                  "z0-wrong-length", "rho-above-one", "reg_c-zero",
-                                  "implicit-ns-M-negative"])
+                                  "z0-wrong-length", "rho-above-one", "rho-negative",
+                                  "reg_c-zero", "implicit-ns-M-negative"])
     def test_rejected_with_its_path(self, fragment, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(_run_text(fragment))

@@ -394,9 +394,9 @@ class TestBuildProblem:
         built = build_problem(spec)
         assert built.problem.n == 21
         assert built.oracle is None
-        assert built.aux.train.n == 21
-        assert built.aux.val.n == 9
-        assert int((~built.aux.train.clean_mask).sum()) == 6
+        assert built.train.n == 21
+        assert built.val.n == 9
+        assert int((~built.train.clean_mask).sum()) == 6
 
     def test_hypercleaning_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -426,8 +426,8 @@ class TestBuildProblem:
                            idx_val=str(tmp_path / "va"),
                            idx_val_labels=str(tmp_path / "val"))
         built = build_problem(spec)
-        assert built.aux.train.n_classes == 3
-        assert built.aux.val.n_classes == 3
+        assert built.train.n_classes == 3
+        assert built.val.n_classes == 3
         assert built.problem.n == 4
 
 

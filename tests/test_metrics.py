@@ -15,7 +15,7 @@ from blo.solvers import (MethodSpec, ScheduleConfig, SolverState, StopRule,
                          _make_record, rhg_hypergradient, run_solver)
 from blo.testbeds import make_multimin, make_quadratic
 
-from reference import aggregate, lyapunov_value, matrix_operator
+from reference import a_operator, aggregate, lyapunov_value, matrix_operator
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def quad_spd():
 class TestKktResidual:
     def test_zero_at_solution(self, quad):
         xs = quad.oracle.x_star
-        ys = quad.oracle.y_star(xs)
+        ys = quad.oracle.y_star_mu(xs, 0.0, 1.0)
         assert kkt_residual(quad.problem, xs, ys, ys) <= 1e-12
 
     def test_value_at_origin(self, quad):
@@ -43,7 +43,7 @@ class TestKktResidual:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             x, y = rng.standard_normal(4), rng.standard_normal(4)
-            v = cg_solve(quad_spd.a_op, p.grad_y_ul(x, y), tol=1e-13).x
+            v = cg_solve(a_operator(quad_spd), p.grad_y_ul(x, y), tol=1e-13).x
             rx = p.grad_x_ul(x, y) - p.jvp_xy_ll(x, y, v)
             rf = p.grad_y_ll(x, y)
             total = kkt_residual(p, x, y, v)
@@ -55,14 +55,15 @@ class TestKktResidual:
         p, orc = quad_spd.problem, quad_spd.oracle
         for seed in range(20):
             x = np.random.default_rng(100 + seed).standard_normal(4)
-            ys = orc.y_star(x)
-            v = cg_solve(quad_spd.a_op, p.grad_y_ul(x, ys), tol=1e-13).x
+            ys = orc.y_star_mu(x, 0.0, 1.0)
+            v = cg_solve(a_operator(quad_spd), p.grad_y_ul(x, ys), tol=1e-13).x
             g = orc.grad_phi(x)
             assert kkt_residual(p, x, ys, v) == pytest.approx(float(g @ g),
                                                              rel=1e-8, abs=1e-12)
         xs = orc.x_star
         assert np.linalg.norm(orc.grad_phi(xs)) <= 1e-10
-        assert kkt_residual(p, xs, orc.y_star(xs), orc.y_star(xs)) <= 1e-12
+        ys = orc.y_star_mu(xs, 0.0, 1.0)
+        assert kkt_residual(p, xs, ys, ys) <= 1e-12
 
     def test_aggregated_matches_smoothed_gradient(self, quad_spd):
         p, orc = quad_spd.problem, quad_spd.oracle
@@ -73,7 +74,9 @@ class TestKktResidual:
             lam = float(rng.uniform(0.5, 3.0))
             ys = orc.y_star_mu(x, mu, lam)
             vs = orc.v_star_mu(x, mu, lam)
-            g = orc.grad_phi_mu(x, mu, lam)
+            # grad phi_mu = (x - z0) + c^2 A^-1 x = grad phi - (1 - c^2) y*(x)
+            c = (1.0 - mu) / (mu * lam + 1.0 - mu)
+            g = orc.grad_phi(x) - (1.0 - c * c) * orc.y_star_mu(x, 0.0, 1.0)
             got = kkt_residual_aggregated(p, x, ys, vs, mu, lam)
             assert got == pytest.approx(float(g @ g), rel=1e-7, abs=1e-10)
 
@@ -91,8 +94,11 @@ class TestOracleSelfConsistency:
             assert np.linalg.norm(psi.grad_y_ll(x, ys)) <= 1e-9
 
     def test_x_star_and_value(self, quad):
-        np.testing.assert_allclose(quad.oracle.x_star, [0.5, 0.5], atol=1e-10)
-        assert quad.oracle.phi(quad.oracle.x_star) == pytest.approx(0.5)
+        xs = quad.oracle.x_star
+        np.testing.assert_allclose(xs, [0.5, 0.5], atol=1e-10)
+        # phi(x) = F(x, y*(x))
+        assert quad.problem.ul_value(xs, quad.oracle.y_star_mu(xs, 0.0, 1.0)) \
+            == pytest.approx(0.5)
 
     def test_grad_phi_at_z0(self, quad):
         np.testing.assert_allclose(quad.oracle.grad_phi(np.ones(2)), [1.0, 1.0],
@@ -101,7 +107,7 @@ class TestOracleSelfConsistency:
     def test_mu_zero_inner_solution_is_exact_one(self, quad_spd):
         x = np.random.default_rng(7).standard_normal(4)
         np.testing.assert_array_equal(quad_spd.oracle.y_star_mu(x, 0.0, 1.0),
-                                      quad_spd.oracle.y_star(x))
+                                      cg_solve(a_operator(quad_spd), x, tol=1e-12).x)
 
     def test_rejects_indefinite_operator(self):
         from blo.linalg import diagonal_operator
@@ -241,7 +247,7 @@ def _spd_operator(n, seed):
 
 
 _MU_ARGS = (0.3, 2.0)  # (mu, lam)
-_ORACLE_FIELDS = ("y_star", "phi", "grad_phi", "y_star_mu", "v_star_mu", "grad_phi_mu")
+_ORACLE_FIELDS = ("grad_phi", "y_star_mu", "v_star_mu")
 
 
 def _ask(oracle, field, x):
@@ -250,15 +256,16 @@ def _ask(oracle, field, x):
 
 
 class TestQuadraticOracleMemo:
-    """``a_inv`` keeps its last three solves and hands out copies."""
+    """``a_inv`` keeps its last three solves; callbacks return new arrays."""
 
     def test_returned_arrays_are_the_callers_own(self, quad_spd):
         x = np.array([0.5, -1.0, 2.0, 0.25])
-        first = quad_spd.oracle.y_star(x)
+        first = quad_spd.oracle.y_star_mu(x, 0.0, 1.0)
         want = first.copy()
         first[:] = 7.0
-        np.testing.assert_array_equal(quad_spd.oracle.y_star(x), want)
-        assert quad_spd.oracle.y_star(x) is not quad_spd.oracle.y_star(x)
+        np.testing.assert_array_equal(quad_spd.oracle.y_star_mu(x, 0.0, 1.0), want)
+        assert quad_spd.oracle.y_star_mu(x, 0.0, 1.0) is not \
+            quad_spd.oracle.y_star_mu(x, 0.0, 1.0)
 
     def test_one_solve_per_distinct_point(self, monkeypatch):
         bed = make_quadratic(5, spectrum=(0.5, 5.0), seed=2)
@@ -356,12 +363,6 @@ class TestFailingMetricCells:
     ])
     def test_only_dependent_cells_blank(self, field, blank, exc):
         self._compare(make_multimin().oracle, field, exc, blank)
-
-    @pytest.mark.parametrize("exc", [NonPositiveCurvatureError, DivergenceError])
-    def test_y_star_without_aggregated_forms(self, exc):
-        # without y*_mu the distance is taken to y*(x) and there is no Lyapunov value
-        bare = dataclasses.replace(make_multimin().oracle, y_star_mu=None, v_star_mu=None)
-        self._compare(bare, "y_star", exc, ("dist_y",))
 
     def test_other_errors_propagate(self):
         oracle = make_multimin().oracle

@@ -14,6 +14,8 @@ from blo.testbeds import (Dataset, classifier_accuracy, corrupt_labels,
                           f1_clean, hypercleaning_problem, make_multimin,
                           make_quadratic, split_dataset, synth_blobs)
 
+from reference import a_operator
+
 
 class TestQuadratic:
     def test_values_by_hand(self):
@@ -41,20 +43,22 @@ class TestQuadratic:
         qb = make_quadratic(6, spectrum=(0.5, 5.0), seed=4)
         for seed in range(10):
             x = np.random.default_rng(seed).standard_normal(6)
-            ys = qb.oracle.y_star(x)
-            assert np.linalg.norm(qb.a_op.apply(ys) - x) <= 1e-10
+            ys = qb.oracle.y_star_mu(x, 0.0, 1.0)
+            assert np.linalg.norm(a_operator(qb).apply(ys) - x) <= 1e-10
 
     def test_spectrum_draw_is_seeded_and_bounded(self):
         a = make_quadratic(50, spectrum=(0.5, 5.0), seed=9)
         b = make_quadratic(50, spectrum=(0.5, 5.0), seed=9)
         x = np.ones(50)
-        np.testing.assert_array_equal(a.a_op.apply(x), b.a_op.apply(x))
-        eigs = a.a_op.apply(np.ones(50))
+        np.testing.assert_array_equal(a_operator(a).apply(x), a_operator(b).apply(x))
+        eigs = a_operator(a).apply(np.ones(50))
         assert eigs.min() >= 0.5 and eigs.max() <= 5.0
 
     def test_custom_z0_vector(self):
         qb = make_quadratic(2, z0=[2.0, -1.0])
-        np.testing.assert_array_equal(qb.z0, [2.0, -1.0])
+        # grad_x F(0, y) = -z0
+        np.testing.assert_array_equal(qb.problem.grad_x_ul(np.zeros(2), np.zeros(2)),
+                                      [-2.0, 1.0])
 
 
 class TestMultiMinimizer:
@@ -64,9 +68,11 @@ class TestMultiMinimizer:
         np.testing.assert_array_equal(g, [0.0, 0.0])
 
     def test_reduced_objective(self):
+        # phi(x) = F(x, y*(x)), with y*(x) the mu = 0 solution
         mm = make_multimin()
-        assert mm.oracle.phi(np.array([1.0])) == 0.0
-        assert mm.oracle.phi(np.array([0.0])) == pytest.approx(0.5)
+        for x, phi in ((np.array([1.0]), 0.0), (np.array([0.0]), 0.5)):
+            y = mm.oracle.y_star_mu(x, 0.0, 1.0)
+            assert mm.problem.ul_value(x, y) == pytest.approx(phi)
 
     def test_aggregated_inner_solution_at_optimum(self):
         mm = make_multimin()
@@ -153,10 +159,11 @@ class TestSplitDataset:
         np.testing.assert_array_equal(a.features, b.features)
 
     def test_bounds(self):
+        # an empty part is a Dataset with N = 0
         ds = synth_blobs(2, 2, 5, 3.0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N >= 1"):
             split_dataset(ds, 0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N >= 1"):
             split_dataset(ds, 10, seed=0)
 
 
@@ -186,13 +193,6 @@ class TestCorruptLabels:
         out = corrupt_labels(ds, 0.3, seed=1)
         assert out.features is ds.features
 
-    def test_rho_bounds(self):
-        ds = synth_blobs(2, 2, 5, 3.0, seed=0)
-        with pytest.raises(ValueError):
-            corrupt_labels(ds, -0.1, seed=0)
-        with pytest.raises(ValueError):
-            corrupt_labels(ds, 1.5, seed=0)
-
 
 class TestF1Clean:
     def test_perfect(self):
@@ -209,11 +209,14 @@ class TestF1Clean:
                         np.array([True, True])) == 0.0
 
 
+HP_C = 1e-3  # the ridge weight of ``hp``
+
+
 @pytest.fixture(scope="module")
 def hp():
     ds = synth_blobs(3, 4, 10, 3.0, seed=6)
     tr, va = split_dataset(ds, 20, seed=7)
-    return hypercleaning_problem(corrupt_labels(tr, 0.3, seed=8), va)
+    return hypercleaning_problem(corrupt_labels(tr, 0.3, seed=8), va, c=HP_C)
 
 
 def reference_sigmoid(z):
@@ -317,20 +320,20 @@ def tie_datasets(n_classes, rng, n_train=24, n_val=12, dim=3):
 
 
 def spy_direction_products(monkeypatch):
-    """Count the misses of the hypercleaning direction cache, the one
-    content cache whose entry is a single array; patch before building."""
-    content_cache = testbeds._content_cache
-    misses = []
+    """Count the misses of the hypercleaning direction cache, the last trail
+    cache a problem makes; patch before building."""
+    trail_cache = testbeds._trail_cache
+    made, misses = [], []
 
     def spying_cache(fn):
         def counted(a):
-            out = fn(a)
-            if len(out) == 1:
+            if counted is made[-1]:
                 misses.append(1)
-            return out
-        return content_cache(counted)
+            return fn(a)
+        made.append(counted)
+        return trail_cache(counted)
 
-    monkeypatch.setattr(testbeds, "_content_cache", spying_cache)
+    monkeypatch.setattr(testbeds, "_trail_cache", spying_cache)
     return misses
 
 
@@ -496,15 +499,13 @@ class TestHyperCleaningCache:
         def fn(a):
             calls.append(a)
             return 2.0 * a, a + 1.0
-        cached = testbeds._content_cache(fn)
+        cached = testbeds._trail_cache(fn)
         first = cached(np.ones(3))
         for arr in first:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         assert cached(np.ones(3)) is first  # same contents: the kept value
-        cached(np.zeros(3))
-        cached(np.ones(3))  # one slot: the zeros replaced it
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_one_train_softmax_per_bagdc_step(self, monkeypatch):
         problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
@@ -588,7 +589,7 @@ class TestHyperCleaningCache:
             calls.append(1)
             value = np.full(3, a[0])
             values.append(weakref.ref(value))
-            return value
+            return (value,)
 
         def alive():
             gc.collect()
@@ -598,7 +599,7 @@ class TestHyperCleaningCache:
         points = [np.full(2, float(i)) for i in range(60)]
         for k in range(40):  # bagdc: y, y+, y, and a trace row at y+
             for i in (k, k + 1, k, k + 1):
-                assert cached(points[i])[0] == i
+                assert cached(points[i])[0][0] == i
         assert len(calls) == 41 and alive() <= 2
         calls.clear()
         forward = points[40:51]  # rhg: from the last point, a run of misses,
@@ -606,8 +607,8 @@ class TestHyperCleaningCache:
             cached(y)
         assert alive() <= len(forward)
         for y in reversed(forward):
-            assert cached(y)[0] == y[0]
-            assert cached(y)[0] == y[0]
+            assert cached(y)[0][0] == y[0]
+            assert cached(y)[0][0] == y[0]
         assert len(calls) == len(forward) - 1 and alive() <= 2
 
 
@@ -619,12 +620,12 @@ class TestHyperCleaning:
         for _ in range(10):
             u = rng.standard_normal(hp.problem.m)
             quad_form = float(u @ hp.problem.hvp_yy_ll(x, w, u))
-            assert quad_form >= hp.reg_c * float(u @ u) - 1e-12
+            assert quad_form >= HP_C * float(u @ u) - 1e-12
 
     def test_all_weights_off_leaves_only_ridge(self, hp):
         x = np.full(hp.problem.n, -50.0)
         w = np.random.default_rng(1).standard_normal(hp.problem.m)
-        np.testing.assert_allclose(hp.problem.grad_y_ll(x, w), hp.reg_c * w,
+        np.testing.assert_allclose(hp.problem.grad_y_ll(x, w), HP_C * w,
                                    atol=1e-12)
 
     def test_derivatives_match_finite_differences(self):
