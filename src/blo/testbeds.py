@@ -274,15 +274,16 @@ def classifier_accuracy(ds: Dataset, w: Array) -> float:
     return float(np.mean(preds == ds.labels))
 
 
-def _trail_cache(fn):
+def _trail_cache(fn, runs=False):
     """``fn(a)``, a tuple of read-only arrays, for the contents of ``a`` since
-    the one before the last run of misses.  Lookups see the top two; one that
-    finds the third pops the top, so a walk back over the run finds each of
-    its points in turn.  Keys are compared, not hashed: hashing the 8 KB key of
-    a 1000-sample x took 2.6 us a call on a 2-CPU x86_64 Xeon, comparing it
-    0.15 us.
+    the one before the last miss, or with ``runs`` before the last run of them.
+    Lookups see the top two; one that finds the third pops the top, so a walk
+    back over the run finds each of its points in turn.  Keys are compared,
+    not hashed: hashing the 8 KB key of a 1000-sample x took 2.6 us a call on
+    a 2-CPU x86_64 Xeon, comparing it 0.15 us.
 
-    A ``bagdc`` step asks at y, y+, y: its runs of misses are one call long, so
+    Without ``runs`` it keeps two values whatever the calls.  With them, a
+    ``bagdc`` step asks at y, y+, y: its runs of misses are one call long, so
     it keeps two values.  An ``rhg`` forward pass is a run of T misses, and its
     reverse pass asks at the same points newest first: one value per point.
     """
@@ -301,7 +302,7 @@ def _trail_cache(fn):
             del trail[-1]
             missed = False
             return trail[-2][1]
-        if not missed:  # a new run starts from the last value
+        if not (runs and missed):  # a new run starts from the last value
             del trail[:-1]
         value = fn(a)
         for arr in value:
@@ -327,12 +328,14 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
     The callbacks share three caches with one policy (``_trail_cache``): the
     train softmax of w, (sigmoid, sigmoid') of x, and the direction product
     a_tr @ U.T of u (an ``rhg`` reverse step asks for both products at one u).
-    Each keeps its last two points and those of its last run of misses, such
-    as the points of an ``rhg`` forward pass.  Softmax, label residual and
-    direction product are kept class-major, (C, N), so the per-sample sums
-    over classes run as whole-row adds (``_class_sum``); the BLAS products
-    see the row-major layouts their bits were made with.  None is locked:
-    call a problem from one thread at a time.
+    Each keeps its last two points; the train softmax also keeps those of its
+    last run of misses, such as the points of an ``rhg`` forward pass.  A run
+    of direction products, one per CG or Neumann term or ``nosa`` step, is
+    never walked back.  Softmax, label residual and direction product are
+    kept class-major, (C, N), so the per-sample sums over classes run as
+    whole-row adds (``_class_sum``); the BLAS products see the row-major
+    layouts their bits were made with.  None is locked: call a problem from
+    one thread at a time.
     """
     if val.n_classes != train.n_classes or val.dim != train.dim:
         raise ValueError("train/val disagree on feature dim or class count")
@@ -352,7 +355,8 @@ def hypercleaning_problem(train: Dataset, val: Dataset,
         return np.asarray(w, dtype=float).reshape(n_cls, p)
 
     # class-major (C, N) train softmax; (sigmoid, sigmoid')
-    train_softmax = _trail_cache(lambda w: (_softmax(a_tr @ unpack(w).T).T,))
+    train_softmax = _trail_cache(lambda w: (_softmax(a_tr @ unpack(w).T).T,),
+                                 runs=True)
     sample_weights = _trail_cache(lambda x: (s := _sigmoid(x), s * (1.0 - s)))
     # (a_tr @ U.T).T: rhg asks for jvp and hvp at one u, bagdc for hvp at the
     # v its last jvp was asked at

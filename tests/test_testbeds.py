@@ -320,21 +320,27 @@ def tie_datasets(n_classes, rng, n_train=24, n_val=12, dim=3):
 
 
 def spy_direction_products(monkeypatch):
-    """Count the misses of the hypercleaning direction cache, the last trail
-    cache a problem makes; patch before building."""
+    """Weak references to the values the hypercleaning direction cache, the
+    last trail cache a problem makes, computes; patch before building."""
     trail_cache = testbeds._trail_cache
-    made, misses = [], []
+    made, products = [], []
 
-    def spying_cache(fn):
+    def spying_cache(fn, runs=False):
         def counted(a):
+            value = fn(a)
             if counted is made[-1]:
-                misses.append(1)
-            return fn(a)
+                products.append(weakref.ref(value[0]))
+            return value
         made.append(counted)
-        return trail_cache(counted)
+        return trail_cache(counted, runs)
 
     monkeypatch.setattr(testbeds, "_trail_cache", spying_cache)
-    return misses
+    return products
+
+
+def alive(refs):
+    gc.collect()
+    return sum(ref() is not None for ref in refs)
 
 
 def count_per_step(calls, problem, method, trace_every):
@@ -591,25 +597,32 @@ class TestHyperCleaningCache:
             values.append(weakref.ref(value))
             return (value,)
 
-        def alive():
-            gc.collect()
-            return sum(ref() is not None for ref in values)
-
-        cached = testbeds._trail_cache(fn)
+        cached = testbeds._trail_cache(fn, runs=True)
         points = [np.full(2, float(i)) for i in range(60)]
         for k in range(40):  # bagdc: y, y+, y, and a trace row at y+
             for i in (k, k + 1, k, k + 1):
                 assert cached(points[i])[0][0] == i
-        assert len(calls) == 41 and alive() <= 2
+        assert len(calls) == 41 and alive(values) <= 2
         calls.clear()
         forward = points[40:51]  # rhg: from the last point, a run of misses,
         for y in forward:        # then the same points backwards
             cached(y)
-        assert alive() <= len(forward)
+        assert alive(values) <= len(forward)
         for y in reversed(forward):
             assert cached(y)[0][0] == y[0]
             assert cached(y)[0][0] == y[0]
-        assert len(calls) == len(forward) - 1 and alive() <= 2
+        assert len(calls) == len(forward) - 1 and alive(values) <= 2
+
+    @pytest.mark.parametrize("method", [MethodSpec("nosa"),
+                                        MethodSpec("implicit-cg", T=3)],
+                             ids=["nosa", "implicit-cg"])
+    def test_direction_cache_stays_bounded(self, monkeypatch, method):
+        # every step asks for direction products at new points and only the
+        # trace rows ask again, so no run of them is walked back
+        products = spy_direction_products(monkeypatch)
+        problem = hypercleaning_problem(CACHE_TRAIN, CACHE_VAL).problem
+        count_per_step(products, problem, method, 5)
+        assert len(products) > 30 and alive(products) <= 2
 
 
 class TestHyperCleaning:
