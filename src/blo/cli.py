@@ -95,15 +95,19 @@ def _cmd_check(args) -> int:
         if cfg.problem in seen:
             continue
         seen.add(cfg.problem)
-        built = build_problem(cfg.problem)
-        problem = built.problem
+        label = cfg.name or cfg.problem.family
+        try:
+            problem = build_problem(cfg.problem).problem
+        except Exception as exc:  # e.g. a missing IDX file: report it, check the rest
+            failed += 1
+            print(f"FAIL {label}: {type(exc).__name__}: {exc}")
+            continue
         x = gaussian_vector(problem.n, cfg.seed + 101)
         y = gaussian_vector(problem.m, cfg.seed + 202)
         if cfg.problem.family == "hypercleaning":
             # keep weights small so softmax finite differences stay tame
             y = 0.1 * y
         report = fd_check_gradients(problem, x, y, seed=cfg.seed)
-        label = cfg.name or cfg.problem.family
         if report.passed:
             worst = max(report.max_rel_error.values())
             print(f"ok   {label}: max relative error {worst:.3e}")

@@ -104,6 +104,11 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trace_every < 1:
             raise FieldError("trace_every", f"must be >= 1, got {self.trace_every}")
+        # a run writes into <out>/<name>, so the name must be one path component
+        if self.name is not None and (self.name in ("", ".", "..") or "/" in self.name
+                                      or "\0" in self.name):
+            raise FieldError("name", f"must be a directory name other than . or .., "
+                                     f"without / or NUL, got {self.name!r}")
 
 
 def _require_dict(value, path: str) -> dict:

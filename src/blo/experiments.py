@@ -396,7 +396,7 @@ def _ll_accuracy_configs(seed: int, idx=None) -> list[ExperimentConfig]:
 def _hypergrad_probe(run: StudyRun):
     oracle = run.built.oracle
 
-    def probe(k, before, after, d):
+    def probe(k, seconds, before, after, d):
         run.probed.append((k, hypergrad_error(d, oracle, before.x)))
     return probe
 
@@ -512,9 +512,9 @@ def _hypercleaning_probe(run: StudyRun):
     built = run.built
     every = 20 if run.cfg.name == "bagdc" else 1
 
-    def probe(k, before, after, d):
+    def probe(k, seconds, before, after, d):
         if k % every == 0:
-            run.probed.append((k, after.elapsed, classifier_accuracy(built.val, after.y),
+            run.probed.append((k, seconds, classifier_accuracy(built.val, after.y),
                                f1_clean(after.x, built.train.clean_mask)))
     return probe
 

@@ -1,11 +1,12 @@
 """Matrix-free linear-algebra kernels: CG solves, truncated Neumann series,
 spectral estimation, and seeded Gaussian draws.
 
-Vectors are plain 1-D float64 numpy arrays.  Operators carry only a
-dimension and a matvec, so the same code path serves explicit test
-matrices and Hessian-vector oracles alike.  Every function here is pure
-and calls its operator only from the calling thread, so operators need
-not be thread-safe: one process per run, and each run its own problem.
+Vectors are plain 1-D float64 numpy arrays.  An operator A is its matvec
+``apply(u) = A u`` (a ``Matvec``), so the same code path serves
+explicit test matrices and Hessian-vector oracles alike.  Every function
+here is pure and calls its operator only from the calling thread, so
+operators need not be thread-safe: one process per run, and each run its
+own problem.
 """
 
 from __future__ import annotations
@@ -19,26 +20,10 @@ import numpy as np
 from .errors import DivergenceError, NonPositiveCurvatureError
 
 Array = np.ndarray
+Matvec = Callable[[Array], Array]
 
 # Relative threshold below which a CG curvature p'Ap is treated as zero.
 _CURV_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """A square matrix-free operator: a dimension plus the product ``apply``."""
-
-    dim: int
-    apply: Callable[[Array], Array]
-
-
-def identity_operator(dim: int) -> LinearOperator:
-    return LinearOperator(dim, lambda v: np.array(v, dtype=float))
-
-
-def diagonal_operator(diag: Array) -> LinearOperator:
-    d = np.asarray(diag, dtype=float)
-    return LinearOperator(d.size, lambda v: d * v)
 
 
 def _norm(a: Array) -> float:
@@ -57,19 +42,17 @@ def ensure_finite(vec: Array, message: str) -> None:
 class CGResult:
     x: Array
     iterations: int
-    converged: bool
-    residual_norm: float
 
 
-def cg_solve(op: LinearOperator, b: Array, tol: float = 1e-10,
+def cg_solve(apply: Matvec, b: Array, tol: float = 1e-10,
              max_iter: int | None = None) -> CGResult:
-    """Solve ``op x = b`` for a symmetric positive-definite operator.
+    """Solve ``apply(x) = b`` for a symmetric positive-definite operator.
 
     Classic Hestenes-Stiefel conjugate gradients started from zero.
     Terminates when the residual drops below ``tol * ||b||``; a zero
     right-hand side returns immediately with zero iterations.  If
-    ``max_iter`` products do not reach the tolerance the last iterate is
-    returned with ``converged=False``.
+    ``max_iter`` products (default ``10 * b.size + 10``) do not reach the
+    tolerance the last iterate is returned.
 
     Raises
     ------
@@ -81,11 +64,10 @@ def cg_solve(op: LinearOperator, b: Array, tol: float = 1e-10,
     """
     b = np.asarray(b, dtype=float)
     if max_iter is None:
-        max_iter = 10 * op.dim + 10
+        max_iter = 10 * b.size + 10
     b_norm = _norm(b)
     if b_norm == 0.0:
-        return CGResult(np.zeros_like(b), 0, True, 0.0)
-    apply = op.apply
+        return CGResult(np.zeros_like(b), 0)
     stop = tol * b_norm
     x = np.zeros_like(b)
     r = b.copy()
@@ -106,22 +88,21 @@ def cg_solve(op: LinearOperator, b: Array, tol: float = 1e-10,
         if not math.isfinite(rs_new):
             raise DivergenceError("conjugate gradient residual became non-finite")
         if math.sqrt(rs_new) <= stop:
-            return CGResult(x, it, True, math.sqrt(rs_new))
+            return CGResult(x, it)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return CGResult(x, max_iter, False, math.sqrt(rs))
+    return CGResult(x, max_iter)
 
 
-def neumann_apply(op: LinearOperator, b: Array, step: float, terms: int) -> Array:
-    """Truncated Neumann series ``step * sum_{j=0}^{terms} (I - step*op)^j b``.
+def neumann_apply(apply: Matvec, b: Array, step: float, terms: int) -> Array:
+    """Truncated Neumann series ``step * sum_{j=0}^{terms} (I - step*A)^j b``.
 
-    Approximates ``op^{-1} b`` when ``step * ||op|| < 1``; the caller owns
+    Approximates ``A^{-1} b`` when ``step * ||A|| < 1``; the caller owns
     that bound, and a visibly divergent accumulation raises.
     """
     b = np.asarray(b, dtype=float)
     term = b.copy()
     acc = b.copy()
-    apply = op.apply
     for _ in range(terms):
         term = term - step * apply(term)
         ensure_finite(term, "Neumann series accumulation became non-finite")
@@ -129,21 +110,21 @@ def neumann_apply(op: LinearOperator, b: Array, step: float, terms: int) -> Arra
     return step * acc
 
 
-def power_iteration_lmax(op: LinearOperator, iters: int = 100, seed: int = 0) -> float:
-    """Rayleigh-quotient estimate of the dominant eigenvalue of a symmetric op.
+def power_iteration_lmax(apply: Matvec, dim: int, iters: int = 100, seed: int = 0) -> float:
+    """Rayleigh-quotient estimate of the dominant eigenvalue of a symmetric A on R^dim.
 
     Deterministic for a fixed seed.  Returns 0.0 if an iterate is mapped
     to the zero vector (in particular for the zero operator).
     """
-    v = gaussian_vector(op.dim, seed)
+    v = gaussian_vector(dim, seed)
     v /= float(np.linalg.norm(v))
     for _ in range(iters):
-        w = op.apply(v)
+        w = apply(v)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0
         v = w / nw
-    return float(v @ op.apply(v))
+    return float(v @ apply(v))
 
 
 def gaussian_vector(dim: int, seed: int) -> Array:

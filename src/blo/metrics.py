@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import Array, LinearOperator, _norm, cg_solve, gaussian_vector
+from .linalg import Array, Matvec, _norm, cg_solve, gaussian_vector
 from .problem import BilevelProblem, psi_product, psi_weights
 
 
@@ -69,11 +69,11 @@ def _lyapunov(problem: BilevelProblem, oracle: AnalyticOracle, x: Array,
     return float(problem.ul_value(x, ys) + 0.5 * dy.dot(dy) + 0.5 * dv.dot(dv))
 
 
-def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
+def quadratic_oracle(a: Matvec, z0: Array) -> AnalyticOracle:
     """Oracle for F = 0.5|x-z0|^2 + 0.5<y, A y>, f = 0.5<y, A y> - <x, y>.
 
-    All inverse applications go through CG at tolerance 1e-12, so the
-    oracle is usable with matrix-free A.  A must be symmetric positive
+    ``a`` is A's matvec; all inverse applications go through CG at tolerance
+    1e-12, so A may be matrix-free.  A must be symmetric positive
     definite; a handful of seeded Rayleigh quotients are checked.
 
     The oracle keeps its last three solves, keyed on the right-hand
@@ -81,10 +81,9 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
     Like its problem, it is used by one thread at a time.
     """
     z0 = np.asarray(z0, dtype=float)
-    n = a_op.dim
     for s in range(5):
-        u = gaussian_vector(n, 1000 + s)
-        if float(u @ a_op.apply(u)) <= 0.0:
+        u = gaussian_vector(z0.size, 1000 + s)
+        if float(u @ a(u)) <= 0.0:
             raise ValueError("operator failed a positive-definiteness spot check")
     # rows every step ask x_{k+1} (four times), probe x_k, row x_{k+2}, probe
     # x_{k+1}: three entries, dropped in insertion order, solve each x once
@@ -94,7 +93,7 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
         key = np.asarray(w, dtype=float).tobytes()
         hit = solves.get(key)
         if hit is None:
-            hit = solves[key] = cg_solve(a_op, w, tol=1e-12).x
+            hit = solves[key] = cg_solve(a, w, tol=1e-12).x
             if len(solves) > 3:
                 del solves[next(iter(solves))]
         return hit
@@ -103,8 +102,7 @@ def quadratic_oracle(a_op: LinearOperator, z0: Array) -> AnalyticOracle:
         return (x - z0) + a_inv(x)
 
     # (I + A^-1) x* = z0  <=>  (A + I) x* = A z0
-    a_plus_i = LinearOperator(n, lambda u: a_op.apply(u) + u)
-    x_star = cg_solve(a_plus_i, a_op.apply(z0), tol=1e-12).x
+    x_star = cg_solve(lambda u: a(u) + u, a(z0), tol=1e-12).x
 
     def y_star_mu(x: Array, mu: float, lam: float) -> Array:
         s = mu * lam + 1.0 - mu

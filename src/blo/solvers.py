@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import (CapabilityError, DivergenceError, FieldError,
                      NonPositiveCurvatureError, SingularHessianError)
-from .linalg import (Array, LinearOperator, _norm, cg_solve, ensure_finite,
-                     neumann_apply, power_iteration_lmax)
+from .linalg import (Array, Matvec, _norm, cg_solve, ensure_finite, neumann_apply,
+                     power_iteration_lmax)
 from .metrics import (AnalyticOracle, TraceRecord, _lyapunov, kkt_residual,
                       kkt_residual_aggregated)
 from .problem import BilevelProblem, Counts, psi_product, psi_weights
@@ -50,8 +50,6 @@ class SolverState:
     x: Array
     y: Array
     v: Array
-    k: int = 0
-    elapsed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,8 @@ def resolve_schedule(cfg: ScheduleConfig, problem: BilevelProblem,
     """Fill in unset base steps from L = lmax of the lower Hessian at (x0, y0)."""
     if cfg.alpha is not None and cfg.beta is not None and cfg.eta is not None:
         return cfg, None
-    op = LinearOperator(problem.m, lambda u: problem.hvp_yy_ll(x0, y0, u))
-    l_hat = power_iteration_lmax(op, iters=100, seed=seed)
+    l_hat = power_iteration_lmax(lambda u: problem.hvp_yy_ll(x0, y0, u), problem.m,
+                                 iters=100, seed=seed)
     if l_hat <= 0.0:
         l_hat = 1.0
     return replace(
@@ -168,8 +166,7 @@ def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
         ensure_finite(y1, "iterate y became non-finite")
         ensure_finite(v1, "iterate v became non-finite")
         ensure_finite(x1, "iterate x became non-finite")
-    new = SolverState(x1, y1, v1, state.k + 1, state.elapsed)
-    return new, StepInfo(d, Counts(3, hvps, 1), eta_k)
+    return SolverState(x1, y1, v1), StepInfo(d, Counts(3, hvps, 1), eta_k)
 
 
 def nosa_step(state: SolverState, problem: BilevelProblem, alpha: float,
@@ -187,8 +184,7 @@ def nosa_step(state: SolverState, problem: BilevelProblem, alpha: float,
     d = p.grad_x_ul(x, y1) - beta * p.jvp_xy_ll(x, y, g_up)
     x1 = x - alpha * d
     ensure_finite(x1, "iterate x became non-finite")
-    new = SolverState(x1, y1, state.v, state.k + 1, state.elapsed)
-    return new, StepInfo(d, Counts(3, 0, 1))
+    return SolverState(x1, y1, state.v), StepInfo(d, Counts(3, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,7 @@ def rhg_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
 
 
 def _implicit(problem: BilevelProblem, x: Array, y0: Array, T: int, beta: float,
-              solve: Callable[[LinearOperator, Array], tuple[Array, int]]
+              solve: Callable[[Matvec, Array], tuple[Array, int]]
               ) -> HypergradientResult:
     """T lower gradient steps to y_hat, then v from ``solve(H, b)`` (v and its
     HVP count) for H = H_yy f(x, y_hat), b = grad_y F(x, y_hat), and
@@ -245,8 +241,7 @@ def _implicit(problem: BilevelProblem, x: Array, y0: Array, T: int, beta: float,
     for _ in range(T):
         y_hat = y_hat - beta * p.grad_y_ll(x, y_hat)
         ensure_finite(y_hat, "iterate y became non-finite")
-    h_op = LinearOperator(p.m, lambda u: p.hvp_yy_ll(x, y_hat, u))
-    v, hvps = solve(h_op, p.grad_y_ul(x, y_hat))
+    v, hvps = solve(lambda u: p.hvp_yy_ll(x, y_hat, u), p.grad_y_ul(x, y_hat))
     d = p.grad_x_ul(x, y_hat) - p.jvp_xy_ll(x, y_hat, v)
     ensure_finite(d, "iterate d became non-finite")
     return HypergradientResult(d, y_hat, Counts(T + 2, hvps, 1), multiplier=v)
@@ -262,9 +257,9 @@ def implicit_cg_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
     non-positive-definite Hessian surfaces as SingularHessianError.
     One HVP per CG iteration.
     """
-    def solve(h_op: LinearOperator, b: Array) -> tuple[Array, int]:
+    def solve(hvp: Matvec, b: Array) -> tuple[Array, int]:
         try:
-            cg = cg_solve(h_op, b, tol=eps, max_iter=5 * problem.m + 50)
+            cg = cg_solve(hvp, b, tol=eps, max_iter=5 * problem.m + 50)
         except NonPositiveCurvatureError as exc:
             raise SingularHessianError(
                 f"lower Hessian is singular or indefinite at the inner solution: {exc}") from exc
@@ -281,7 +276,7 @@ def implicit_ns_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
     alternating scheme applies implicitly.  M HVPs.
     """
     return _implicit(problem, x, y0, T, beta,
-                     lambda h_op, b: (neumann_apply(h_op, b, beta, M), M))
+                     lambda hvp, b: (neumann_apply(hvp, b, beta, M), M))
 
 
 def bda_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
@@ -381,7 +376,7 @@ class RunSummary:
 _METRIC_ERRORS = (NonPositiveCurvatureError, DivergenceError, FloatingPointError)
 
 
-def _make_record(problem, oracle, state, d_norm, mu_k, a_k, b_k, e_k,
+def _make_record(problem, oracle, k, state, d_norm, mu_k, a_k, b_k, e_k,
                  seconds, totals, lam) -> TraceRecord:
     x, y, v = state.x, state.y, state.v
     grad_phi_norm = dist_x_rel = dist_y = lyap = None
@@ -399,7 +394,7 @@ def _make_record(problem, oracle, state, d_norm, mu_k, a_k, b_k, e_k,
         except _METRIC_ERRORS:
             pass
     return TraceRecord(
-        state.k - 1, seconds, float(problem.ul_value(x, y)),
+        k, seconds, float(problem.ul_value(x, y)),
         float(problem.ll_value(x, y)), d_norm, kkt_residual(problem, x, y, v),
         grad_phi_norm, dist_x_rel, dist_y, lyap, mu_k, a_k, b_k, e_k,
         totals.hvps, totals.jvps)
@@ -427,16 +422,15 @@ def _dispatch_step(state: SolverState, problem: BilevelProblem, method: MethodSp
     x1 = state.x - a_k * res.d
     ensure_finite(x1, "iterate x became non-finite")
     v1 = res.multiplier if res.multiplier is not None else state.v
-    new = SolverState(x1, res.y_out, v1, state.k + 1, state.elapsed)
-    return new, StepInfo(res.d, res.inner_cost)
+    return SolverState(x1, res.y_out, v1), StepInfo(res.d, res.inner_cost)
 
 
 def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleConfig,
                stop: StopRule, oracle: AnalyticOracle | None = None,
                sink: Callable[[TraceRecord], None] | None = None,
-               seed: int = 0, state0: SolverState | None = None,
-               trace_every: int = 1,
-               probe: Callable[[int, SolverState, SolverState, Array], None] | None = None,
+               seed: int = 0, trace_every: int = 1,
+               probe: Callable[[int, float, SolverState, SolverState, Array], None]
+               | None = None,
                ) -> tuple[SolverState, RunSummary]:
     """Drive a method until a stop criterion fires.
 
@@ -446,11 +440,11 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
     errors are recorded in the summary (status ``diverged`` /
     ``singular-hessian``, or ``error`` for any other) rather than raised.
 
-    ``probe(k, state_before, state_after, d)`` is a hook for
-    study-specific measurements.
+    Every run starts at x = y = v = 0.  ``probe(k, seconds, state_before,
+    state_after, d)`` is a hook for study-specific measurements; ``seconds``
+    is the solver clock after step k, the trace's ``wall_seconds``.
     """
-    state = state0 if state0 is not None else SolverState(
-        np.zeros(problem.n), np.zeros(problem.m), np.zeros(problem.m))
+    state = SolverState(np.zeros(problem.n), np.zeros(problem.m), np.zeros(problem.m))
     cfg, l_hat = resolve_schedule(schedule, problem, state.x, state.y, seed)
     sched_info = {**asdict(cfg), "l_hat": l_hat}
     adaptive = cfg.eta_rule == "adaptive"
@@ -489,21 +483,20 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
                 status, error, error_at = "error", f"{type(exc).__name__}: {exc}", k
                 break
             seconds += time.perf_counter() - t0
-            state.elapsed = seconds
             totals.add(info.counts)
             d_norm = _norm(info.d)
             converged = d_norm <= d_norm_tol
             timed_out = seconds >= max_seconds
             if k % trace_every == 0 or converged or timed_out or k + 1 >= max_iters:
                 e_used = info.eta if info.eta is not None else e_k
-                last_rec = _make_record(problem, oracle, state, d_norm, mu_k, a_k,
+                last_rec = _make_record(problem, oracle, k, state, d_norm, mu_k, a_k,
                                         b_k, e_used, seconds, totals, cfg.lam)
                 if sink is not None:
                     sink(last_rec)
                 if last_rec.kkt_residual <= kkt_tol:
                     converged = True
             if probe is not None:
-                probe(k, before, state, info.d)
+                probe(k, seconds, before, state, info.d)
             k += 1
             if converged:
                 status = "converged"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, diagonal_operator, identity_operator
+from .linalg import Array
 from .metrics import AnalyticOracle, quadratic_oracle
 from .problem import BilevelProblem
 
@@ -48,12 +48,11 @@ def make_quadratic(n: int, spectrum="identity", z0="ones",
     a length-n vector.
     """
     if spectrum == "identity":
-        a_op = identity_operator(n)
+        eigs = np.ones(n)
     else:
         lmin, lmax = float(spectrum[0]), float(spectrum[1])
         rng = np.random.default_rng(seed)
         eigs = np.exp(rng.uniform(np.log(lmin), np.log(lmax), size=n))
-        a_op = diagonal_operator(eigs)
     if not isinstance(z0, str):
         z_vec = np.asarray(z0, dtype=float)
     elif z0 == "ones":
@@ -61,7 +60,9 @@ def make_quadratic(n: int, spectrum="identity", z0="ones",
     else:
         z_vec = np.random.default_rng([seed, 1]).standard_normal(n)
 
-    a = a_op.apply
+    def a(u: Array) -> Array:
+        return eigs * u
+
     problem = BilevelProblem(
         n=n,
         m=n,
@@ -75,7 +76,7 @@ def make_quadratic(n: int, spectrum="identity", z0="ones",
         hvp_yy_ul=lambda x, y, u: a(u),
         jvp_xy_ul=lambda x, y, u: np.zeros(n),
     )
-    return Testbed(problem, quadratic_oracle(a_op, z_vec))
+    return Testbed(problem, quadratic_oracle(a, z_vec))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from blo.linalg import Array, LinearOperator
+from blo.linalg import Array, Matvec
 from blo.metrics import AnalyticOracle
 from blo.problem import BilevelProblem, Counts, psi_weights
 
@@ -71,15 +71,15 @@ def lyapunov_value(problem: BilevelProblem, oracle: AnalyticOracle,
     return float(problem.ul_value(x, ys) + 0.5 * dy.dot(dy) + 0.5 * dv.dot(dv))
 
 
-def a_operator(bed) -> LinearOperator:
+def a_operator(bed) -> Matvec:
     """A quadratic testbed's A, as its lower Hessian product."""
     zeros = np.zeros(bed.problem.n)
-    return LinearOperator(bed.problem.n, lambda u: bed.problem.hvp_yy_ll(zeros, zeros, u))
+    return lambda u: bed.problem.hvp_yy_ll(zeros, zeros, u)
 
 
-def matrix_operator(a) -> LinearOperator:
-    """An explicit square matrix as a ``LinearOperator``."""
+def matrix_operator(a) -> Matvec:
+    """An explicit square matrix as its matvec."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return LinearOperator(m.shape[0], lambda v: m @ v)
+    return lambda v: m @ v

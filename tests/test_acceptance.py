@@ -13,7 +13,7 @@ import numpy as np
 from blo.config import ProblemSpec
 from blo.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_idx
 from blo.experiments import build_problem
-from blo.linalg import LinearOperator, cg_solve, neumann_apply, power_iteration_lmax
+from blo.linalg import cg_solve, neumann_apply, power_iteration_lmax
 from blo.solvers import (MethodSpec, ScheduleConfig, SolverState, StopRule,
                          bagdc_step, implicit_cg_hypergradient,
                          implicit_ns_hypergradient, rhg_hypergradient,
@@ -69,9 +69,7 @@ def test_criterion_2_hypergradient_oracle_equivalence():
     for i in range(10):
         n = int(rng.integers(5, 51))
         qb = make_quadratic(n, spectrum=(0.5, 5.0), seed=i)
-        op = LinearOperator(n, lambda u: qb.problem.hvp_yy_ll(
-            np.zeros(n), np.zeros(n), u))
-        beta = 0.9 / power_iteration_lmax(op, seed=0)
+        beta = 0.9 / power_iteration_lmax(a_operator(qb), n, seed=0)
         y0 = np.zeros(n)
         for _ in range(5):
             x = rng.standard_normal(n)
@@ -199,9 +197,9 @@ def test_criterion_7_hypercleaning_time_to_accuracy():
     def run(method, iters, every):
         curve = []
 
-        def probe(k, before, after, d):
+        def probe(k, seconds, before, after, d):
             if k % every == 0:
-                curve.append((after.elapsed,
+                curve.append((seconds,
                               classifier_accuracy(built.val, after.y)))
 
         state, summary = run_solver(built.problem, method, sched,

@@ -175,6 +175,20 @@ class TestCheckCommand:
         assert main(["check", cfg]) == 0
         assert "ok   hypercleaning" in capsys.readouterr().out
 
+    def test_unbuildable_problem_fails_and_the_rest_are_checked(self, tmp_path, capsys):
+        idx = {f"idx_{part}": str(tmp_path / part)
+               for part in ("train", "train_labels", "val", "val_labels")}
+        doc = {"runs": [{"problem": {"family": "hypercleaning", **idx},
+                         "method": {"name": "bagdc"}, "name": "mnist"},
+                        {"problem": {"family": "multimin"}, "method": {"name": "bagdc"}}]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", cfg]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2
+        assert out[0].startswith("FAIL mnist: FileNotFoundError: ")
+        assert str(tmp_path / "train") in out[0]
+        assert out[1].startswith("ok   multimin: max relative error ")
+
 
 class TestReproduceCommand:
     def test_study_smoke(self, tmp_path):

@@ -217,6 +217,9 @@ UNWORKABLE = [
     ('"problem": {"family": "hypercleaning", "reg_c": 0}',
      r"runs\[0\]\.problem: reg_c must be positive, got 0\.0"),
     ('"method": {"name": "implicit-ns", "M": -1}', r"runs\[0\]\.method: M must be >= 0, got -1"),
+    ('"name": "../escaped"', r"runs\[0\]\.name: must be a directory name .*'\.\./escaped'"),
+    ('"name": ""', r"runs\[0\]\.name: must be a directory name .*got ''"),
+    ('"name": "a\\u0000b"', r"runs\[0\]\.name: must be a directory name .*'a\\x00b'"),
 ]
 
 
@@ -238,7 +241,8 @@ class TestUnworkableValues:
                                   "max_seconds-negative", "bda-mu-above-half", "bda-lam-zero",
                                   "schedule-lam-zero", "n-zero", "spectrum-negative",
                                   "z0-wrong-length", "rho-above-one", "rho-negative",
-                                  "reg_c-zero", "implicit-ns-M-negative"])
+                                  "reg_c-zero", "implicit-ns-M-negative", "name-escapes-out",
+                                  "name-empty", "name-nul"])
     def test_rejected_with_its_path(self, fragment, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(_run_text(fragment))

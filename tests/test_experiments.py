@@ -244,7 +244,7 @@ class TestRunPool:
 
         def study(wait_for=None):
             def probe(run):  # z-slow holds its first step until a-fast has ended
-                def hold(k, before, after, d):
+                def hold(k, seconds, before, after, d):
                     deadline = time.monotonic() + 60.0
                     while (run.cfg.name == "z-slow" and k == 0 and not wait_for.exists()
                            and time.monotonic() < deadline):
@@ -319,7 +319,7 @@ class TestRunPool:
                 {"runs": [dict(run, name="a"), dict(run, name="b")]}))
 
             def probe(study_run):
-                def die(k, before, after, d):
+                def die(k, seconds, before, after, d):
                     if study_run.cfg.name == "a" and k == 5:
                         die_after(out / "b" / "summary.json", lambda: os._exit(3))
                 return die

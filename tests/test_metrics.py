@@ -110,10 +110,9 @@ class TestOracleSelfConsistency:
                                       cg_solve(a_operator(quad_spd), x, tol=1e-12).x)
 
     def test_rejects_indefinite_operator(self):
-        from blo.linalg import diagonal_operator
         from blo.metrics import quadratic_oracle
         with pytest.raises(ValueError):
-            quadratic_oracle(diagonal_operator(np.array([1.0, -1.0])), np.ones(2))
+            quadratic_oracle(lambda v: np.array([1.0, -1.0]) * v, np.ones(2))
 
 
 class TestHypergradError:
@@ -167,7 +166,7 @@ class TestLyapunov:
         rows, states = [], []
         run_solver(bed.problem, MethodSpec("bagdc"), sched, StopRule(max_iters=12),
                    bed.oracle, sink=rows.append,
-                   probe=lambda k, before, after, d: states.append(after))
+                   probe=lambda k, seconds, before, after, d: states.append(after))
         assert len(rows) == len(states) == 12
         for rec, s in zip(rows, states):
             want = lyapunov_value(bed.problem, bed.oracle, s.x, s.y, s.v, rec.mu, sched.lam)
@@ -279,7 +278,7 @@ class TestQuadraticOracleMemo:
         rng = np.random.default_rng(5)
         x0, x1, y, v, d = (rng.standard_normal(5) for _ in range(5))
         # a trace row at x1, the probe of that step at x0, the next one at x1
-        rec = _make_record(bed.problem, bed.oracle, SolverState(x1, y, v, k=1), 0.1,
+        rec = _make_record(bed.problem, bed.oracle, 0, SolverState(x1, y, v), 0.1,
                            0.2, 0.1, 0.1, 0.1, 0.0, Counts(), 1.5)
         assert None not in (rec.grad_phi_norm, rec.dist_y, rec.lyapunov)
         hypergrad_error(d, bed.oracle, x0)
@@ -292,7 +291,8 @@ class TestQuadraticOracleMemo:
         _, summary = run_solver(
             bed.problem, MethodSpec("rhg", T=5), ScheduleConfig(alpha=0.1, beta=0.2, eta=0.2),
             StopRule(max_iters=20), bed.oracle,
-            probe=lambda k, before, after, d: hypergrad_error(d, bed.oracle, before.x))
+            probe=lambda k, seconds, before, after, d: hypergrad_error(d, bed.oracle,
+                                                                       before.x))
         assert summary.iterations == 20
         assert len(solved) == len(set(solved)) == 21  # x_0 .. x_20
 

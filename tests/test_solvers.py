@@ -145,7 +145,6 @@ class TestBagdcStep:
         np.testing.assert_array_equal(state.y, [0.0, 0.0])
         np.testing.assert_array_equal(state.v, [0.0, 0.0])
         np.testing.assert_array_equal(info.d, [-1.0, -1.0])
-        assert state.k == 1
 
     def test_fixed_point_is_exactly_stationary(self, quad):
         xs = np.array([0.5, 0.5])
@@ -311,7 +310,6 @@ class TestLeanStepEquivalence:
         np.testing.assert_array_equal(info.d, d)
         assert info.eta == eta_k
         assert (info.counts.grads, info.counts.hvps, info.counts.jvps) == (3, hvps, 1)
-        assert new.k == state.k + 1
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_each_psi_product_is_one_ul_and_one_ll_call(self, adaptive):
@@ -482,7 +480,7 @@ class TestFinitenessCheck:
 
         broken = []
 
-        def probe(k, before, after, d):
+        def probe(k, seconds, before, after, d):
             if k == 2:  # the callback returns inf from the next step on
                 broken.append(k)
 
@@ -782,7 +780,7 @@ class TestRunSolver:
                 raise RuntimeError("lower gradient callback failed")
             return quad.problem.grad_y_ll(x, y)
 
-        def probe(k, before, after, d):
+        def probe(k, seconds, before, after, d):
             if k == 2:  # the callback fails from the next step on
                 broken.append(k)
 
@@ -833,7 +831,7 @@ class TestRunSolver:
     def test_probe_sees_every_iteration(self, quad):
         calls = []
 
-        def probe(k, before, after, d):
+        def probe(k, seconds, before, after, d):
             calls.append(k)
             np.testing.assert_array_equal(after.x, before.x - 0.1 * d)
 
@@ -841,6 +839,22 @@ class TestRunSolver:
         run_solver(quad.problem, MethodSpec("bagdc"), sched,
                    StopRule(max_iters=6), probe=probe, trace_every=100)
         assert calls == list(range(6))
+
+    def test_probe_clock_is_the_trace_clock(self, quad):
+        rows, probed = [], []
+
+        def probe(k, seconds, before, after, d):
+            probed.append((k, seconds, before))
+
+        run_solver(quad.problem, MethodSpec("bagdc"),
+                   ScheduleConfig(alpha=0.1, beta=0.5, eta=0.5),
+                   StopRule(max_iters=8), quad.oracle, sink=rows.append, probe=probe)
+        assert [k for k, _, _ in probed] == [r.k for r in rows] == list(range(8))
+        for (_, seconds, _), rec in zip(probed, rows):
+            assert repr(seconds) == repr(rec.wall_seconds), rec.k
+        first = probed[0][2]
+        for part in (first.x, first.y, first.v):
+            assert part.tobytes() == np.zeros(2).tobytes()
 
     def test_counts_accumulate_for_unrolled_method(self, quad):
         sched = ScheduleConfig(alpha=0.1, beta=0.5, eta=0.5)
@@ -850,24 +864,16 @@ class TestRunSolver:
         assert summary.counts.jvps == 12
         assert summary.counts.grads == 20
 
-    def test_adaptive_eta_doubles_products_and_is_traced(self, quad):
+    def test_adaptive_eta_doubles_products_and_is_traced(self):
         rows = []
-        state0 = SolverState(np.array([0.3, 0.3]), np.array([0.2, 0.1]),
-                             np.zeros(2))
+        bed = make_multimin()
         sched = ScheduleConfig(alpha=0.1, beta=0.3, eta=0.4, eta_rule="adaptive")
-        _, summary = run_solver(quad.problem, MethodSpec("bagdc"), sched,
-                                StopRule(max_iters=5), quad.oracle,
-                                sink=rows.append, state0=state0)
+        _, summary = run_solver(bed.problem, MethodSpec("bagdc"), sched,
+                                StopRule(max_iters=5), bed.oracle,
+                                sink=rows.append)
         assert summary.counts.hvps == 10
         # identity curvature makes the adaptive quotient exactly one
         assert rows[0].eta == pytest.approx(1.0)
-
-    def test_custom_initial_state(self, quad):
-        state0 = SolverState(np.array([9.0, 9.0]), np.zeros(2), np.zeros(2))
-        state, _ = run_solver(quad.problem, MethodSpec("bagdc"),
-                              ScheduleConfig(alpha=0.1, beta=0.5, eta=0.5),
-                              StopRule(max_iters=0), state0=state0)
-        np.testing.assert_array_equal(state.x, [9.0, 9.0])
 
     def test_schedule_reported(self, quad):
         _, summary = run_solver(quad.problem, MethodSpec("bagdc"),
