@@ -39,8 +39,6 @@ from .metrics import (AnalyticOracle, TraceRecord, _lyapunov, kkt_residual,
                       kkt_residual_aggregated)
 from .problem import BilevelProblem, Counts, psi_product, psi_weights
 
-METHOD_NAMES = ("bagdc", "nosa", "rhg", "implicit-cg", "implicit-ns", "bda")
-
 # Degeneracy guard for the adaptive eta Rayleigh quotient.
 _ETA_CURV_FLOOR = 1e-12
 
@@ -191,7 +189,7 @@ def nosa_step(state: SolverState, problem: BilevelProblem, alpha: float,
 class HypergradientResult:
     d: Array
     y_out: Array
-    inner_cost: Counts
+    counts: Counts
     multiplier: Array | None = None
 
 
@@ -400,29 +398,41 @@ def _make_record(problem, oracle, k, state, d_norm, mu_k, a_k, b_k, e_k,
         totals.hvps, totals.jvps)
 
 
-def _dispatch_step(state: SolverState, problem: BilevelProblem, method: MethodSpec,
-                   cfg: ScheduleConfig, mu_k: float, a_k: float, b_k: float,
-                   e_k: float, adaptive: bool) -> tuple[SolverState, StepInfo]:
-    if method.name == "bagdc":
-        return bagdc_step(state, problem, mu_k, a_k, b_k, e_k, cfg.lam,
-                          adaptive=adaptive)
-    if method.name == "nosa":
-        return nosa_step(state, problem, a_k, b_k)
-    if method.name == "rhg":
-        res = rhg_hypergradient(problem, state.x, state.y, method.T, b_k)
-    elif method.name == "implicit-cg":
-        res = implicit_cg_hypergradient(problem, state.x, state.y, method.T,
-                                        b_k, method.eps)
-    elif method.name == "implicit-ns":
-        res = implicit_ns_hypergradient(problem, state.x, state.y, method.T,
-                                        b_k, method.M)
-    else:
-        res = bda_hypergradient(problem, state.x, state.y, method.T, method.mu,
-                                method.lam, b_k)
-    x1 = state.x - a_k * res.d
-    ensure_finite(x1, "iterate x became non-finite")
-    v1 = res.multiplier if res.multiplier is not None else state.v
-    return SolverState(x1, res.y_out, v1), StepInfo(res.d, res.inner_cost)
+def _bagdc(m: MethodSpec, cfg: ScheduleConfig) -> Callable:
+    lam, adaptive = cfg.lam, cfg.eta_rule == "adaptive"
+    return lambda s, p, mu, a, b, e: bagdc_step(s, p, mu, a, b, e, lam, adaptive=adaptive)
+
+
+def _outer(hypergradient: Callable[..., HypergradientResult]) -> Callable:
+    """A baseline's step: x - alpha_k d, d from hypergradient(method, problem, x, y, beta_k)."""
+    def build(m: MethodSpec, cfg: ScheduleConfig) -> Callable:
+        def step(s, p, mu, a, b, e):
+            res = hypergradient(m, p, s.x, s.y, b)
+            x1 = s.x - a * res.d
+            ensure_finite(x1, "iterate x became non-finite")
+            v1 = res.multiplier if res.multiplier is not None else s.v
+            return SolverState(x1, res.y_out, v1), StepInfo(res.d, res.counts)
+        return step
+    return build
+
+
+# Each method's step (state, problem, mu_k, alpha_k, beta_k, eta_k) -> (state, info),
+# built once per run from its MethodSpec and resolved schedule.  A step looks its step
+# function up by name when it runs, so a module attribute replaced from outside is called.
+_STEPS: dict[str, Callable[[MethodSpec, ScheduleConfig], Callable]] = {
+    "bagdc": _bagdc,
+    "nosa": lambda m, cfg: lambda s, p, mu, a, b, e: nosa_step(s, p, a, b),
+    "rhg": _outer(lambda m, p, x, y, b: rhg_hypergradient(p, x, y, m.T, b)),
+    "implicit-cg": _outer(lambda m, p, x, y, b: implicit_cg_hypergradient(p, x, y, m.T, b, m.eps)),
+    "implicit-ns": _outer(lambda m, p, x, y, b: implicit_ns_hypergradient(p, x, y, m.T, b, m.M)),
+    "bda": _outer(lambda m, p, x, y, b: bda_hypergradient(p, x, y, m.T, m.mu, m.lam, b)),
+}
+METHOD_NAMES = tuple(_STEPS)
+
+# A failed step's status, from the first entry its exception is an instance of
+# (SingularHessianError is a NonPositiveCurvatureError); any other is an ``error``.
+_FAILURES = ((SingularHessianError, "singular-hessian"), (DivergenceError, "diverged"),
+             ((NonPositiveCurvatureError, CapabilityError), "error"))
 
 
 def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleConfig,
@@ -447,7 +457,7 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
     state = SolverState(np.zeros(problem.n), np.zeros(problem.m), np.zeros(problem.m))
     cfg, l_hat = resolve_schedule(schedule, problem, state.x, state.y, seed)
     sched_info = {**asdict(cfg), "l_hat": l_hat}
-    adaptive = cfg.eta_rule == "adaptive"
+    step = _STEPS[method.name](method, cfg)
     # unset criteria become bounds that never fire
     max_iters = math.inf if stop.max_iters is None else stop.max_iters
     max_seconds = math.inf if stop.max_seconds is None else stop.max_seconds
@@ -468,19 +478,11 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
             before = state
             t0 = time.perf_counter()
             try:
-                state, info = _dispatch_step(state, problem, method, cfg, mu_k,
-                                             a_k, b_k, e_k, adaptive)
-            except SingularHessianError as exc:
-                status, error, error_at = "singular-hessian", str(exc), k
-                break
-            except DivergenceError as exc:
-                status, error, error_at = "diverged", str(exc), k
-                break
-            except (NonPositiveCurvatureError, CapabilityError) as exc:
-                status, error, error_at = "error", str(exc), k
-                break
+                state, info = step(state, problem, mu_k, a_k, b_k, e_k)
             except Exception as exc:  # e.g. a failing callback: the run ends, not the batch
-                status, error, error_at = "error", f"{type(exc).__name__}: {exc}", k
+                status, error = next(((s, str(exc)) for c, s in _FAILURES if isinstance(exc, c)),
+                                     ("error", f"{type(exc).__name__}: {exc}"))
+                error_at = k
                 break
             seconds += time.perf_counter() - t0
             totals.add(info.counts)
@@ -515,7 +517,4 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
         mu_last = schedule_at(cfg, k - 1)[0]
         final["kkt_residual_aggregated"] = kkt_residual_aggregated(
             problem, state.x, state.y, state.v, mu_last, cfg.lam)
-    summary = RunSummary(status=status, iterations=k, wall_seconds=seconds,
-                         counts=totals, schedule=sched_info, final=final,
-                         error=error, error_at=error_at)
-    return state, summary
+    return state, RunSummary(status, k, seconds, totals, sched_info, final, error, error_at)

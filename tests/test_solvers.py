@@ -367,22 +367,22 @@ _COUNT_CASES = {
         s, p, 0.25, 0.1, 0.5, 0.5, adaptive=True)[1].counts, (3, 2, 1)),
     "nosa": (_QUAD3, 0.0, lambda p, s: nosa_step(s, p, 0.1, 0.5)[1].counts, (3, 0, 1)),
     "rhg": (_QUAD3, 0.0, lambda p, s: rhg_hypergradient(
-        p, s.x, s.y, T=6, beta=0.4).inner_cost, (8, 6, 6)),
+        p, s.x, s.y, T=6, beta=0.4).counts, (8, 6, 6)),
     "implicit-cg": (_QUAD3, 0.0, lambda p, s: implicit_cg_hypergradient(
-        p, s.x, s.y, T=4, beta=0.4, eps=1e-10).inner_cost, None),
+        p, s.x, s.y, T=4, beta=0.4, eps=1e-10).counts, None),
     "implicit-cg-zero-rhs": (_ZERO_RHS, 0.0, lambda p, s: implicit_cg_hypergradient(
-        p, s.x[:2], s.y[:2], T=3, beta=0.4, eps=1e-10).inner_cost, (5, 0, 1)),
+        p, s.x[:2], s.y[:2], T=3, beta=0.4, eps=1e-10).counts, (5, 0, 1)),
     # CG stops at its 5m + 50 products
     "implicit-cg-max-iter": (_NO_CG_CONVERGENCE, 0.0, lambda p, s: implicit_cg_hypergradient(
-        p, s.x[:2], s.y[:2], T=2, beta=0.4, eps=1e-10).inner_cost, (4, 60, 1)),
+        p, s.x[:2], s.y[:2], T=2, beta=0.4, eps=1e-10).counts, (4, 60, 1)),
     "implicit-ns": (_QUAD3, 0.0, lambda p, s: implicit_ns_hypergradient(
-        p, s.x, s.y, T=3, beta=0.4, M=7).inner_cost, (5, 7, 1)),
+        p, s.x, s.y, T=3, beta=0.4, M=7).counts, (5, 7, 1)),
     "implicit-ns-M0": (_QUAD3, 0.0, lambda p, s: implicit_ns_hypergradient(
-        p, s.x, s.y, T=3, beta=0.4, M=0).inner_cost, (5, 0, 1)),
+        p, s.x, s.y, T=3, beta=0.4, M=0).counts, (5, 0, 1)),
     "bda-mu0": (_QUAD3, 0.0, lambda p, s: bda_hypergradient(
-        p, s.x, s.y, T=5, mu=0.0, lam=1.0, beta=0.4).inner_cost, (7, 5, 5)),
+        p, s.x, s.y, T=5, mu=0.0, lam=1.0, beta=0.4).counts, (7, 5, 5)),
     "bda": (_QUAD3, 0.3, lambda p, s: bda_hypergradient(
-        p, s.x, s.y, T=5, mu=0.3, lam=2.0, beta=0.4).inner_cost, (7, 5, 5)),
+        p, s.x, s.y, T=5, mu=0.3, lam=2.0, beta=0.4).counts, (7, 5, 5)),
 }
 
 
@@ -424,7 +424,7 @@ class TestPsiBlendReference:
                                 x, y, T, beta)
         np.testing.assert_array_equal(got.d, ref.d)
         np.testing.assert_array_equal(got.y_out, ref.y_out)
-        assert got.inner_cost == ref.inner_cost == seen
+        assert got.counts == ref.counts == seen
 
     @settings(max_examples=60, deadline=None)
     @given(testbed=st.sampled_from(sorted(_TESTBEDS)),
@@ -624,9 +624,9 @@ class TestRhg:
         for T in (1, 7, 30):
             res = rhg_hypergradient(quad.problem, np.zeros(2), np.zeros(2),
                                     T=T, beta=0.5)
-            assert res.inner_cost.hvps == T
-            assert res.inner_cost.jvps == T
-            assert res.inner_cost.grads == T + 2
+            assert res.counts.hvps == T
+            assert res.counts.jvps == T
+            assert res.counts.grads == T + 2
 
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError, match="T must be >= 1, got 0"):
@@ -689,8 +689,8 @@ class TestImplicitNs:
         for M in (0, 5, 20):
             res = implicit_ns_hypergradient(quad.problem, np.zeros(2),
                                             np.zeros(2), T=2, beta=0.5, M=M)
-            assert res.inner_cost.hvps == M
-            assert res.inner_cost.jvps == 1
+            assert res.counts.hvps == M
+            assert res.counts.jvps == 1
 
 
 class TestBda:
@@ -704,8 +704,8 @@ class TestBda:
     def test_single_step_costs_one_product_pair(self, quad):
         res = bda_hypergradient(quad.problem, np.zeros(2), np.zeros(2),
                                 T=1, mu=0.5, lam=1.0, beta=0.4)
-        assert res.inner_cost.hvps == 1
-        assert res.inner_cost.jvps == 1
+        assert res.counts.hvps == 1
+        assert res.counts.jvps == 1
 
     def test_finds_true_optimum_where_unrolling_stalls(self):
         mm = make_multimin()
