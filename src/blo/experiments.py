@@ -535,6 +535,12 @@ def _hypercleaning_checks(runs: dict[str, StudyRun]) -> dict[str, bool]:
         t_base = min(t for _, t, a, _ in baseline if a >= target)
         hits = [t for _, t, a, _ in contender if a >= target]
         checks["matched_accuracy_3x_faster"] = bool(hits) and hits[0] * 3.0 <= t_base
+    base_rows, bagdc_rows = runs["rhg-T100"].records, runs["bagdc"].records
+    if base_rows and bagdc_rows:  # products spent to reach rhg-T100's best validation loss
+        best = min(base_rows, key=lambda r: r.ul_value)
+        hit = next((r for r in bagdc_rows if r.ul_value <= best.ul_value), None)
+        checks["matched_val_loss_3x_fewer_products"] = hit is not None and (
+            3 * (hit.hvp_count + hit.jvp_count) <= best.hvp_count + best.jvp_count)
     bagdc = runs["bagdc"]
     if bagdc.cfg.problem.idx_train is None:  # only synthetic data marks corrupt labels
         f1_final = f1_clean(bagdc.state.x, bagdc.built.train.clean_mask)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from blo import solvers
 from blo.cli import main
 from blo.metrics import TRACE_HEADER
 
@@ -28,6 +29,24 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(out)]) == 0
         trace = (out / "run-000" / "trace.csv").read_text().splitlines()
         assert trace[0] == TRACE_HEADER
+
+    @pytest.mark.parametrize("name, attr", [("bagdc", "bagdc_step"),
+                                            ("rhg", "rhg_hypergradient")])
+    def test_step_function_is_looked_up_when_a_step_runs(self, tmp_path, monkeypatch,
+                                                         name, attr):
+        # perfbench times each step by replacing these module attributes
+        real, calls = getattr(solvers, attr), []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, attr, counted)
+        cfg = write_config(tmp_path, dict(QUAD_RUN, method={"name": name, "T": 3}))
+        out = tmp_path / "results"
+        assert main(["run", cfg, "--out", str(out), "--parallel", "1"]) == 0
+        summary = json.loads((out / "run-000" / "summary.json").read_text())
+        assert summary["iterations"] == 25 and len(calls) == 25
 
     def test_failed_run_exit_one(self, tmp_path):
         doc = dict(QUAD_RUN, schedule={"alpha": 0.1, "beta": 2.5, "eta": 0.5},
@@ -132,7 +151,9 @@ class TestParseTimeChecks:
         payload = json.loads((out / "run-000" / "summary.json").read_text())
         assert payload["status"] == "error"
         assert payload["at_iteration"] == 0
-        assert "needs hvp_yy_ul and jvp_xy_ul" in payload["error"]
+        # a library error keeps its bare message, with no type prefix
+        assert payload["error"] == ("aggregation with mu > 0 needs hvp_yy_ul and "
+                                    "jvp_xy_ul, which this problem does not provide")
 
     def test_failed_build_stays_in_its_run(self, tmp_path, capsys):
         missing = {key: str(tmp_path / key) for key in

@@ -505,6 +505,18 @@ class TestReproduce:
             assert err.splitlines() == [f"run bad: diverged: {bad['error']}",
                                         "study toy: failed checks: bad_diverged"]
 
+    @pytest.mark.parametrize("eta, passes", [(None, True), (1e-300, False)],
+                             ids=["bagdc", "multiplier-off"])
+    def test_hypercleaning_loss_check_needs_the_multiplier(self, tmp_path, eta, passes):
+        # with eta = 1e-300 the multiplier never moves from 0 and bagdc's
+        # validation loss stalls at 0.8422, above rhg-T100's best 0.83543
+        study = _STUDIES["hypercleaning"]
+        configs = study.configs(study.seed, None)
+        configs[0] = replace(configs[0], schedule=replace(configs[0].schedule, eta=eta))
+        _run_study("hypercleaning", study, configs, tmp_path, study.seed, parallel=1)
+        checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+        assert checks["matched_val_loss_3x_fewer_products"] is passes
+
     def test_study_names_stable(self):
         assert STUDIES == ("counterexample", "eta-sweep", "ll-accuracy",
                            "dimension-scaling", "multimin", "hypercleaning")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blo.errors import CapabilityError, DivergenceError, SingularHessianError
+from blo import solvers
+from blo.errors import (CapabilityError, DivergenceError, NonPositiveCurvatureError,
+                        SingularHessianError)
 from blo.linalg import cg_solve, ensure_finite
 from blo.metrics import kkt_residual, kkt_residual_aggregated
 from blo.problem import BilevelProblem, Counts
@@ -772,12 +774,14 @@ class TestRunSolver:
         assert summary.error_at == 1
         assert "singular or indefinite" in summary.error
 
-    def test_any_step_exception_is_an_error_status(self, quad):
+    @staticmethod
+    def _fail_from_k3(quad, exc):
+        """A bagdc run whose lower gradient raises ``exc`` from step 3 on."""
         broken = []
 
         def failing_grad(x, y):
             if broken:
-                raise RuntimeError("lower gradient callback failed")
+                raise exc
             return quad.problem.grad_y_ll(x, y)
 
         def probe(k, seconds, before, after, d):
@@ -791,9 +795,34 @@ class TestRunSolver:
                                 StopRule(max_iters=10), quad.oracle,
                                 sink=rows.append, probe=probe)
         assert summary.status == "error" and not summary.ok
-        assert summary.error == "RuntimeError: lower gradient callback failed"
         assert summary.error_at == 3 and summary.iterations == 3
         assert [r.k for r in rows] == [0, 1, 2]
+        return summary
+
+    def test_any_step_exception_is_an_error_status(self, quad):
+        summary = self._fail_from_k3(quad, RuntimeError("lower gradient callback failed"))
+        assert summary.error == "RuntimeError: lower gradient callback failed"
+
+    def test_library_error_is_an_error_status_with_its_bare_message(self, quad):
+        summary = self._fail_from_k3(quad, NonPositiveCurvatureError("operator is not PD"))
+        assert summary.error == "operator is not PD"
+
+    @pytest.mark.parametrize("name, attr", [("bagdc", "bagdc_step"),
+                                            ("rhg", "rhg_hypergradient")])
+    def test_step_function_is_looked_up_when_a_step_runs(self, quad, monkeypatch,
+                                                         name, attr):
+        # perfbench times each step by replacing these module attributes
+        real, calls = getattr(solvers, attr), []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, attr, counted)
+        _, summary = run_solver(quad.problem, MethodSpec(name, T=3),
+                                ScheduleConfig(alpha=0.1, beta=0.5, eta=0.5),
+                                StopRule(max_iters=7))
+        assert summary.iterations == 7 and len(calls) == 7
 
     def test_time_limit(self, quad):
         sched = ScheduleConfig(alpha=0.01, beta=0.5, eta=0.5)
