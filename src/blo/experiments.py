@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .config import ConfigError, ExperimentConfig, ProblemSpec, config_to_dict
 from .dataio import load_idx
 from .metrics import TRACE_HEADER, TraceRecord, hypergrad_error
@@ -227,6 +229,7 @@ class Study:
     columns: tuple[str, ...]  # trace columns copied into comparison.csv
     figures: tuple[Figure, ...]
     checks: Callable[[dict[str, StudyRun]], dict[str, bool]]
+    # a probe with a ``flush`` has it called once its run has ended
     probe: Callable[[StudyRun], Callable] | None = None
     # comparison rows written ahead of a run's trace rows
     rows: Callable[[StudyRun], list[str]] | None = None
@@ -248,8 +251,10 @@ def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out: Pa
 
     def execute(run: StudyRun) -> tuple:  # in a worker process when parallel > 1
         probe = study.probe(run) if study.probe is not None else None
-        return (*_run_to_dir(run.built, run.cfg, out / run.cfg.name, probe=probe),
-                run.probed)
+        result = _run_to_dir(run.built, run.cfg, out / run.cfg.name, probe=probe)
+        if hasattr(probe, "flush"):
+            probe.flush()
+        return (*result, run.probed)
 
     def lose(run: StudyRun, error: str) -> tuple:  # its worker process died
         return None, _failed_run(run.cfg, out / run.cfg.name, error, None), [], []
@@ -393,11 +398,29 @@ def _ll_accuracy_configs(seed: int, idx=None) -> list[ExperimentConfig]:
                            seed=seed, trace_every=10) for name, m in specs]
 
 
+_PROBE_BLOCK = 64  # steps whose ground truth one stacked CG solves
+
+
 def _hypergrad_probe(run: StudyRun):
+    """Keeps (k, d, x_k) of each step and appends (k, |d - grad phi(x_k)|) to
+    ``run.probed`` a block of steps at a time; ``flush`` solves what is left."""
     oracle = run.built.oracle
+    block: list[tuple] = []  # (k, d, x_k) of the open block's steps
+
+    def flush():
+        if block:
+            ks, ds, xs = zip(*block)
+            block.clear()
+            # as in the run's loop: a diverging point raises, it does not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                errors = hypergrad_error(np.stack(ds), oracle, np.stack(xs))
+            run.probed.extend(zip(ks, errors.tolist()))
 
     def probe(k, seconds, before, after, d):
-        run.probed.append((k, hypergrad_error(d, oracle, before.x)))
+        block.append((k, d, before.x))
+        if len(block) == _PROBE_BLOCK:
+            flush()
+    probe.flush = flush
     return probe
 
 

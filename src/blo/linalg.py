@@ -1,7 +1,8 @@
 """Matrix-free linear-algebra kernels: CG solves, truncated Neumann series,
 spectral estimation, and seeded Gaussian draws.
 
-Vectors are plain 1-D float64 numpy arrays.  An operator A is its matvec
+Vectors are plain 1-D float64 numpy arrays; ``cg_solve_rows`` takes a
+(K, n) stack of them, one per row.  An operator A is its matvec
 ``apply(u) = A u`` (a ``Matvec``), so the same code path serves
 explicit test matrices and Hessian-vector oracles alike.  Every function
 here is pure and calls its operator only from the calling thread, so
@@ -92,6 +93,64 @@ def cg_solve(apply: Matvec, b: Array, tol: float = 1e-10,
         p = r + (rs_new / rs) * p
         rs = rs_new
     return CGResult(x, max_iter)
+
+
+def _row_dots(a: Array, b: Array) -> Array:
+    """``a[i].dot(b[i])`` for every row of two (K, n) stacks, bitwise: a
+    1 x n @ n x 1 matmul goes through the same BLAS dot as ``ndarray.dot``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def cg_solve_rows(apply: Matvec, B: Array, tol: float = 1e-10,
+                  max_iter: int | None = None) -> tuple[Array, Array]:
+    """``cg_solve`` on every row of a (K, n) stack at once, in lockstep.
+
+    ``apply`` must map a stack of rows to the stack of their products.
+    Returns the (K, n) solutions and the (K,) iteration counts; row i's are
+    bitwise those of ``cg_solve(apply, B[i], tol, max_iter)``.  A row leaves
+    the active set at the iteration where its own stop test fires.  Raises
+    what ``cg_solve`` raises, at the first iteration where an active row
+    would.
+    """
+    B = np.asarray(B, dtype=float)
+    if max_iter is None:
+        max_iter = 10 * B.shape[1] + 10
+    X = np.zeros_like(B)
+    iters = np.zeros(B.shape[0], dtype=int)
+    b_norm = np.sqrt(_row_dots(B, B))
+    live = np.flatnonzero(b_norm != 0.0)
+    stop = tol * b_norm[live]
+    x = X[live]
+    r = B[live]
+    p = r.copy()
+    rs = _row_dots(r, r)
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        ap = apply(p)
+        pp = _row_dots(p, p)
+        curv = _row_dots(p, ap)
+        bad = curv <= _CURV_FLOOR * pp
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonPositiveCurvatureError(
+                f"curvature {curv[i]:.3e} along a CG direction with |p|^2 = {pp[i]:.3e}; "
+                "operator is not positive definite")
+        step = (rs / curv)[:, None]
+        x = x + step * p
+        r = r - step * ap
+        rs_new = _row_dots(r, r)
+        if not np.isfinite(rs_new).all():
+            raise DivergenceError("conjugate gradient residual became non-finite")
+        done = np.sqrt(rs_new) <= stop
+        if done.any():
+            X[live[done]], iters[live[done]] = x[done], it
+            live, stop, x, r, p, rs, rs_new = (
+                a[~done] for a in (live, stop, x, r, p, rs, rs_new))
+        p = r + (rs_new / rs)[:, None] * p
+        rs = rs_new
+    X[live], iters[live] = x, max_iter
+    return X, iters
 
 
 def neumann_apply(apply: Matvec, b: Array, step: float, terms: int) -> Array:

@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import Array, Matvec, _norm, cg_solve, gaussian_vector
+from .linalg import (Array, Matvec, _norm, _row_dots, cg_solve, cg_solve_rows,
+                     gaussian_vector)
 from .problem import BilevelProblem, psi_product, psi_weights
 
 
@@ -41,18 +42,21 @@ def kkt_residual_aggregated(problem: BilevelProblem, x: Array, y: Array,
     return _kkt(problem, psi_weights(problem, mu, lam), x, y, v)
 
 
-def hypergrad_error(d: Array, oracle: AnalyticOracle, x: Array) -> float:
-    """Distance of a hypergradient estimate from the oracle grad phi(x)."""
-    return _norm(d - oracle.grad_phi(x))
+def hypergrad_error(d: Array, oracle: AnalyticOracle, x: Array) -> float | Array:
+    """Distance of a hypergradient estimate from the oracle grad phi(x); for
+    (K, n) stacks d and x, the K distances of their rows."""
+    r = d - oracle.grad_phi(x)
+    return _norm(r) if r.ndim == 1 else np.sqrt(_row_dots(r, r))
 
 
 @dataclass(frozen=True)
 class AnalyticOracle:
     """Closed-form ground truth for a testbed.
 
-    ``y_star_mu`` and ``v_star_mu`` take (x, mu, lam) and describe the
-    aggregated lower level; at mu = 0 ``y_star_mu`` is the lower solution
-    (the optimistic one where there are several).
+    ``grad_phi`` takes a point or a (K, n) stack of points, and gives
+    one gradient per row.  ``y_star_mu`` and ``v_star_mu`` take (x, mu,
+    lam) and describe the aggregated lower level; at mu = 0 ``y_star_mu``
+    is the lower solution (the optimistic one where there are several).
     """
 
     x_star: Array
@@ -75,9 +79,13 @@ def quadratic_oracle(a: Matvec, z0: Array) -> AnalyticOracle:
     ``a`` is A's matvec; all inverse applications go through CG at tolerance
     1e-12, so A may be matrix-free.  A must be symmetric positive
     definite; a handful of seeded Rayleigh quotients are checked.
+    ``grad_phi`` of a (K, n) stack solves its rows together
+    (``cg_solve_rows``), each bitwise as alone; that needs an ``a`` that
+    acts row-wise on a stack, as ``make_quadratic``'s diagonal does.
 
-    The oracle keeps its last three solves, keyed on the right-hand
-    side's bytes; every callback returns a new array computed from them.
+    The oracle keeps its last three single-point solves, keyed on the
+    right-hand side's bytes; every callback returns a new array computed
+    from them.
     Like its problem, it is used by one thread at a time.
     """
     z0 = np.asarray(z0, dtype=float)
@@ -99,7 +107,7 @@ def quadratic_oracle(a: Matvec, z0: Array) -> AnalyticOracle:
         return hit
 
     def grad_phi(x: Array) -> Array:
-        return (x - z0) + a_inv(x)
+        return (x - z0) + (a_inv(x) if x.ndim == 1 else cg_solve_rows(a, x, tol=1e-12)[0])
 
     # (I + A^-1) x* = z0  <=>  (A + I) x* = A z0
     x_star = cg_solve(lambda u: a(u) + u, a(z0), tol=1e-12).x

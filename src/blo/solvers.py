@@ -314,7 +314,7 @@ class MethodSpec:
         if self.name not in METHOD_NAMES:
             raise FieldError("name", f"unknown method {self.name!r} "
                                      f"(expected one of {METHOD_NAMES})")
-        t_min = 1 if self.name in ("rhg", "bda") else 0
+        t_min = _STEPS[self.name].t_min
         if self.T < t_min:
             raise ValueError(f"T must be >= {t_min}, got {self.T}")
         if self.eps <= 0.0:
@@ -416,16 +416,27 @@ def _outer(hypergradient: Callable[..., HypergradientResult]) -> Callable:
     return build
 
 
-# Each method's step (state, problem, mu_k, alpha_k, beta_k, eta_k) -> (state, info),
-# built once per run from its MethodSpec and resolved schedule.  A step looks its step
-# function up by name when it runs, so a module attribute replaced from outside is called.
-_STEPS: dict[str, Callable[[MethodSpec, ScheduleConfig], Callable]] = {
-    "bagdc": _bagdc,
-    "nosa": lambda m, cfg: lambda s, p, mu, a, b, e: nosa_step(s, p, a, b),
-    "rhg": _outer(lambda m, p, x, y, b: rhg_hypergradient(p, x, y, m.T, b)),
-    "implicit-cg": _outer(lambda m, p, x, y, b: implicit_cg_hypergradient(p, x, y, m.T, b, m.eps)),
-    "implicit-ns": _outer(lambda m, p, x, y, b: implicit_ns_hypergradient(p, x, y, m.T, b, m.M)),
-    "bda": _outer(lambda m, p, x, y, b: bda_hypergradient(p, x, y, m.T, m.mu, m.lam, b)),
+@dataclass(frozen=True)
+class _Method:
+    # the run's step (state, problem, mu_k, alpha_k, beta_k, eta_k) -> (state, info),
+    # built once from its MethodSpec and resolved schedule
+    build: Callable[[MethodSpec, ScheduleConfig], Callable]
+    t_min: int = 0  # the least T
+    aggregated_kkt: bool = False  # a finished merely-convex run reports it
+
+
+# What each method is.  A step looks its step function up by name when it runs, so
+# a module attribute replaced from outside is the one called.
+_STEPS: dict[str, _Method] = {
+    "bagdc": _Method(_bagdc, aggregated_kkt=True),
+    "nosa": _Method(lambda m, cfg: lambda s, p, mu, a, b, e: nosa_step(s, p, a, b)),
+    "rhg": _Method(_outer(lambda m, p, x, y, b: rhg_hypergradient(p, x, y, m.T, b)), t_min=1),
+    "implicit-cg": _Method(_outer(
+        lambda m, p, x, y, b: implicit_cg_hypergradient(p, x, y, m.T, b, m.eps))),
+    "implicit-ns": _Method(_outer(
+        lambda m, p, x, y, b: implicit_ns_hypergradient(p, x, y, m.T, b, m.M))),
+    "bda": _Method(_outer(
+        lambda m, p, x, y, b: bda_hypergradient(p, x, y, m.T, m.mu, m.lam, b)), t_min=1),
 }
 METHOD_NAMES = tuple(_STEPS)
 
@@ -457,7 +468,8 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
     state = SolverState(np.zeros(problem.n), np.zeros(problem.m), np.zeros(problem.m))
     cfg, l_hat = resolve_schedule(schedule, problem, state.x, state.y, seed)
     sched_info = {**asdict(cfg), "l_hat": l_hat}
-    step = _STEPS[method.name](method, cfg)
+    entry = _STEPS[method.name]
+    step = entry.build(method, cfg)
     # unset criteria become bounds that never fire
     max_iters = math.inf if stop.max_iters is None else stop.max_iters
     max_seconds = math.inf if stop.max_seconds is None else stop.max_seconds
@@ -512,7 +524,7 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
         for name in ("ul_value", "ll_value", "d_norm", "kkt_residual",
                      "grad_phi_norm", "dist_x_rel", "dist_y", "lyapunov")
     }
-    if (status in _OK_STATUSES and method.name == "bagdc"
+    if (status in _OK_STATUSES and entry.aggregated_kkt
             and cfg.mode == "merely-convex" and problem.has_ul_curvature and k > 0):
         mu_last = schedule_at(cfg, k - 1)[0]
         final["kkt_residual_aggregated"] = kkt_residual_aggregated(

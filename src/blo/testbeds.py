@@ -117,7 +117,7 @@ def make_multimin() -> Testbed:
 
     oracle = AnalyticOracle(
         x_star=np.array([1.0]),
-        grad_phi=lambda x: np.array([x[0] - 1.0]),
+        grad_phi=lambda x: x - 1.0,
         y_star_mu=y_star_mu,
         v_star_mu=v_star_mu,
     )

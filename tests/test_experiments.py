@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,9 +18,11 @@ import blo
 from blo.config import ProblemSpec, config_to_dict, parse_config
 from blo.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from blo.errors import ConfigError
-from blo.experiments import (_STUDIES, STUDIES, Study, _run_study, build_problem,
-                             execute_run, reproduce, run_experiments)
-from blo.metrics import TRACE_HEADER
+from blo.experiments import (_PROBE_BLOCK, _STUDIES, STUDIES, Study, StudyRun,
+                             _hypergrad_probe, _ll_accuracy_configs, _run_study,
+                             build_problem, execute_run, reproduce, run_experiments)
+from blo.metrics import TRACE_HEADER, hypergrad_error
+from blo.solvers import run_solver
 
 
 IDX_KEYS = ("idx_train", "idx_train_labels", "idx_val", "idx_val_labels")
@@ -376,6 +379,34 @@ class TestRunPool:
         assert_lost_run(tmp_path / "out" / "a")
         b = json.loads((tmp_path / "out" / "b" / "summary.json").read_text())
         assert (b["status"], b["iterations"]) == ("max-iters", 50)
+
+
+class TestHypergradProbe:
+    """ll-accuracy's probe solves its ground truth a block of steps at a time."""
+
+    @pytest.mark.parametrize("max_iters", [1, 63, 64, 65, 130])
+    def test_blocks_give_per_point_errors_and_drop_their_steps(self, max_iters):
+        cfg = _ll_accuracy_configs(0)[0]
+        cfg = replace(cfg, stop=replace(cfg.stop, max_iters=max_iters))
+        run = StudyRun(cfg, build_problem(cfg.problem))
+        probe = _hypergrad_probe(run)
+        want, refs = [], []
+
+        def checked(k, seconds, before, after, d):
+            want.append((k, hypergrad_error(d, run.built.oracle, before.x)))
+            refs.append((weakref.ref(d), weakref.ref(before.x)))
+            probe(k, seconds, before, after, d)
+            # every step before the open block is solved and let go; the
+            # solver itself still holds step k's arrays
+            start = (k + 1) // _PROBE_BLOCK * _PROBE_BLOCK
+            assert len(run.probed) == start
+            assert all(ref() is None for pair in refs[:min(start, k)] for ref in pair)
+
+        _, summary = run_solver(run.built.problem, cfg.method, cfg.schedule, cfg.stop,
+                                oracle=run.built.oracle, probe=checked)
+        assert summary.iterations == max_iters
+        probe.flush()
+        assert [(k, e.hex()) for k, e in run.probed] == [(k, e.hex()) for k, e in want]
 
 
 class TestBuildProblem:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blo.errors import DivergenceError, NonPositiveCurvatureError
-from blo.linalg import (CGResult, cg_solve, gaussian_vector, neumann_apply,
-                        power_iteration_lmax)
+from blo.linalg import (CGResult, _row_dots, cg_solve, cg_solve_rows, gaussian_vector,
+                        neumann_apply, power_iteration_lmax)
 
 from reference import matrix_operator
 
@@ -307,3 +307,90 @@ class TestLeanLoopsMatchReference:
         with np.errstate(all="ignore"), \
                 pytest.raises(DivergenceError, match="Neumann series"):
             neumann_apply(diagonal(np.full(3, 0.5)), b, 1.0, 1)
+
+
+def rowwise(op):
+    """``op`` applied to each row of a stack."""
+    return lambda rows: np.stack([op(row) for row in rows])
+
+
+def stacked_outcome(op, stack_op, B, tol, max_iter):
+    """``cg_solve_rows`` on B, and what ``cg_solve`` does with each row: its
+    result, or the exception it raised and the product it raised at."""
+    with np.errstate(all="ignore"):
+        try:
+            got = ("ok", cg_solve_rows(stack_op, B, tol, max_iter))
+        except (DivergenceError, NonPositiveCurvatureError) as exc:
+            got = (type(exc), str(exc))
+    alone = [outcome(cg_solve, op, b, tol, max_iter) for b in B]
+    return got, alone
+
+
+class TestCgSolveRows:
+    """Each row of the stacked solve is bitwise ``cg_solve`` on that row alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(OPERATOR_KINDS), dim=st.integers(1, 40),
+           seed=st.integers(0, 10_000), tol=st.sampled_from([1e-4, 1e-8, 1e-12]),
+           max_iter=st.one_of(st.none(), st.integers(0, 8)),
+           scales=st.lists(st.sampled_from([0.0, 1.0, 1e-150, 1e150, 1e160]),
+                           min_size=0, max_size=8))
+    def test_rows_match_cg_solve_bitwise(self, kind, dim, seed, tol, max_iter, scales):
+        op = random_operator(kind, dim, seed)
+        stack_op = rowwise(op) if kind == "dense" else op  # a diagonal acts row-wise
+        rng = np.random.default_rng(seed + 1)
+        B = np.array([s * rng.standard_normal(dim) for s in scales]).reshape(-1, dim)
+        got, alone = stacked_outcome(op, stack_op, B, tol, max_iter)
+        raised = [(len(calls), res) for res, calls in alone if res[0] != "ok"]
+        if not raised:
+            assert got[0] == "ok"
+            x, iters = got[1]
+            assert x.shape == B.shape and iters.shape == (len(B),)
+            for i, ((_, res), _) in enumerate(alone):
+                assert bits(x[i]) == bits(res.x)
+                assert iters[i] == res.iterations
+            return
+        # the stack raises at the first product where a row raises alone; at that
+        # product the curvature test comes before the residual test
+        first = min(at for at, _ in raised)
+        errors = [res for at, res in raised if at == first]
+        want = next((res for res in errors if res[0] is NonPositiveCurvatureError),
+                    errors[0])
+        assert got == want
+
+    def test_zero_rows(self):
+        x, iters = cg_solve_rows(diagonal([1.0, 2.0]), np.zeros((0, 2)))
+        assert x.shape == (0, 2) and iters.shape == (0,)
+
+    def test_one_row(self):
+        op = random_operator("diagonal", 30, 4)
+        b = np.random.default_rng(5).standard_normal(30)
+        x, iters = cg_solve_rows(op, b[None, :], 1e-12)
+        res = cg_solve(op, b, 1e-12)
+        assert bits(x[0]) == bits(res.x) and iters.tolist() == [res.iterations]
+
+    def test_rows_that_hit_max_iter(self):
+        op = random_operator("diagonal", 40, 6)
+        B = np.random.default_rng(7).standard_normal((5, 40))
+        B[1] = 0.0
+        x, iters = cg_solve_rows(op, B, 1e-12, max_iter=3)
+        assert iters.tolist() == [3, 0, 3, 3, 3]
+        for i, b in enumerate(B):
+            assert bits(x[i]) == bits(cg_solve(op, b, 1e-12, max_iter=3).x)
+
+    def test_indefinite_diagonal_raises_as_cg_solve(self):
+        op = diagonal([1.0, -1.0, 2.0])
+        B = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(NonPositiveCurvatureError):
+            cg_solve(op, B[1])
+        with pytest.raises(NonPositiveCurvatureError):
+            cg_solve_rows(op, B)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
+    def test_row_dots_match_dot_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((64, n)), rng.standard_normal((64, n))
+        pick = rng.permutation(64)[:40]  # gathered rows, as the active set is
+        for u, w in ((a, b), (a, a), (a[pick], b[pick])):
+            want = np.array([u[i].dot(w[i]) for i in range(len(u))])
+            assert bits(_row_dots(u, w)) == bits(want)

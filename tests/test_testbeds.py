@@ -117,6 +117,19 @@ class TestMultiMinimizer:
             assert np.linalg.norm(psi.grad_y_ll(x, ys)) <= 1e-12
 
 
+@pytest.mark.parametrize("build", [lambda: make_quadratic(50, spectrum=(0.5, 5.0)),
+                                   lambda: make_quadratic(3), make_multimin],
+                         ids=["quadratic-spectrum", "quadratic-identity", "multimin"])
+def test_grad_phi_of_a_stack_is_each_rows_own(build):
+    bed = build()
+    X = np.random.default_rng(0).standard_normal((70, bed.problem.n))
+    X[3] = 0.0  # a zero right-hand side: no CG step
+    got = bed.oracle.grad_phi(X)
+    assert got.shape == X.shape
+    for i, x in enumerate(X):
+        assert got[i].tobytes() == bed.oracle.grad_phi(x).tobytes()
+
+
 class TestSynthBlobs:
     def test_separable_data_trains_accurately(self):
         ds = synth_blobs(classes=2, dim=2, per_class=50, separation=6.0, seed=1)
