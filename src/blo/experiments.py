@@ -24,8 +24,8 @@ from .config import ConfigError, ExperimentConfig, ProblemSpec, config_to_dict
 from .dataio import load_idx
 from .metrics import TRACE_HEADER, TraceRecord, hypergrad_error
 from .problem import Counts
-from .solvers import (MethodSpec, RunSummary, ScheduleConfig, SolverState,
-                      StopRule, run_solver)
+from .solvers import (_METRIC_ERRORS, MethodSpec, RunSummary, ScheduleConfig,
+                      SolverState, StopRule, run_solver)
 from . import svgplot
 from .svgplot import AxesSpec, Series
 from .testbeds import (Testbed, classifier_accuracy, corrupt_labels, f1_clean,
@@ -403,9 +403,16 @@ _PROBE_BLOCK = 64  # steps whose ground truth one stacked CG solves
 
 def _hypergrad_probe(run: StudyRun):
     """Keeps (k, d, x_k) of each step and appends (k, |d - grad phi(x_k)|) to
-    ``run.probed`` a block of steps at a time; ``flush`` solves what is left."""
+    ``run.probed`` a block of steps at a time; ``flush`` solves what is left.
+    A point whose ground truth cannot be solved records ``nan``."""
     oracle = run.built.oracle
     block: list[tuple] = []  # (k, d, x_k) of the open block's steps
+
+    def error_or_nan(d, x):
+        try:
+            return hypergrad_error(d, oracle, x)
+        except _METRIC_ERRORS:
+            return float("nan")
 
     def flush():
         if block:
@@ -413,8 +420,11 @@ def _hypergrad_probe(run: StudyRun):
             block.clear()
             # as in the run's loop: a diverging point raises, it does not warn
             with np.errstate(over="ignore", invalid="ignore"):
-                errors = hypergrad_error(np.stack(ds), oracle, np.stack(xs))
-            run.probed.extend(zip(ks, errors.tolist()))
+                try:
+                    errors = hypergrad_error(np.stack(ds), oracle, np.stack(xs)).tolist()
+                except _METRIC_ERRORS:  # a point failed: solve each alone
+                    errors = [error_or_nan(d, x) for d, x in zip(ds, xs)]
+            run.probed.extend(zip(ks, errors))
 
     def probe(k, seconds, before, after, d):
         block.append((k, d, before.x))

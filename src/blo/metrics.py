@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import (Array, Matvec, _norm, _row_dots, cg_solve, cg_solve_rows,
                      gaussian_vector)
-from .problem import BilevelProblem, psi_product, psi_weights
+from .problem import BilevelProblem, _trail_cache, psi_product, psi_weights
 
 
 def _kkt(p: BilevelProblem, w: tuple[float, float] | None, x: Array, y: Array,
@@ -83,9 +83,8 @@ def quadratic_oracle(a: Matvec, z0: Array) -> AnalyticOracle:
     (``cg_solve_rows``), each bitwise as alone; that needs an ``a`` that
     acts row-wise on a stack, as ``make_quadratic``'s diagonal does.
 
-    The oracle keeps its last three single-point solves, keyed on the
-    right-hand side's bytes; every callback returns a new array computed
-    from them.
+    Single-point solves are kept by ``_trail_cache``; every callback
+    returns a new array computed from them.
     Like its problem, it is used by one thread at a time.
     """
     z0 = np.asarray(z0, dtype=float)
@@ -93,28 +92,17 @@ def quadratic_oracle(a: Matvec, z0: Array) -> AnalyticOracle:
         u = gaussian_vector(z0.size, 1000 + s)
         if float(u @ a(u)) <= 0.0:
             raise ValueError("operator failed a positive-definiteness spot check")
-    # rows every step ask x_{k+1} (four times), probe x_k, row x_{k+2}, probe
-    # x_{k+1}: three entries, dropped in insertion order, solve each x once
-    solves: dict[bytes, Array] = {}
-
-    def a_inv(w: Array) -> Array:
-        key = np.asarray(w, dtype=float).tobytes()
-        hit = solves.get(key)
-        if hit is None:
-            hit = solves[key] = cg_solve(a, w, tol=1e-12).x
-            if len(solves) > 3:
-                del solves[next(iter(solves))]
-        return hit
+    a_inv = _trail_cache(lambda w: (cg_solve(a, w, tol=1e-12).x,))
 
     def grad_phi(x: Array) -> Array:
-        return (x - z0) + (a_inv(x) if x.ndim == 1 else cg_solve_rows(a, x, tol=1e-12)[0])
+        return (x - z0) + (a_inv(x)[0] if x.ndim == 1 else cg_solve_rows(a, x, tol=1e-12)[0])
 
     # (I + A^-1) x* = z0  <=>  (A + I) x* = A z0
     x_star = cg_solve(lambda u: a(u) + u, a(z0), tol=1e-12).x
 
     def y_star_mu(x: Array, mu: float, lam: float) -> Array:
         s = mu * lam + 1.0 - mu
-        return (1.0 - mu) / s * a_inv(x)
+        return (1.0 - mu) / s * a_inv(x)[0]
 
     def v_star_mu(x: Array, mu: float, lam: float) -> Array:
         s = mu * lam + 1.0 - mu

@@ -22,7 +22,7 @@ from blo.experiments import (_PROBE_BLOCK, _STUDIES, STUDIES, Study, StudyRun,
                              _hypergrad_probe, _ll_accuracy_configs, _run_study,
                              build_problem, execute_run, reproduce, run_experiments)
 from blo.metrics import TRACE_HEADER, hypergrad_error
-from blo.solvers import run_solver
+from blo.solvers import _METRIC_ERRORS, run_solver
 
 
 IDX_KEYS = ("idx_train", "idx_train_labels", "idx_val", "idx_val_labels")
@@ -407,6 +407,44 @@ class TestHypergradProbe:
         assert summary.iterations == max_iters
         probe.flush()
         assert [(k, e.hex()) for k, e in run.probed] == [(k, e.hex()) for k, e in want]
+
+    def test_a_point_it_cannot_solve_is_nan_and_the_study_ends(self, tmp_path):
+        configs = _ll_accuracy_configs(0)[:2]
+        # bagdc at alpha 50 diverges; CG fails on some of its last finite iterates
+        cfg = configs[0] = replace(configs[0],
+                                   schedule=replace(configs[0].schedule, alpha=50.0))
+        run = StudyRun(cfg, build_problem(cfg.problem))
+        probe = _hypergrad_probe(run)
+        want, unsolvable = [], []
+
+        def checked(k, seconds, before, after, d):
+            try:
+                want.append(hypergrad_error(d, run.built.oracle, before.x))
+            except _METRIC_ERRORS:
+                want.append(float("nan"))
+                unsolvable.append(k)
+            probe(k, seconds, before, after, d)
+
+        _, summary = run_solver(run.built.problem, cfg.method, cfg.schedule, cfg.stop,
+                                oracle=run.built.oracle, probe=checked)
+        probe.flush()
+        assert summary.status == "diverged" and unsolvable
+        # float.hex reads every nan as "nan"
+        assert [(k, e.hex()) for k, e in run.probed] == [(k, e.hex()) for k, e in enumerate(want)]
+
+        for mode, parallel in (("inline", 1), ("pool", 2)):
+            out = tmp_path / mode
+            out.mkdir()
+            assert _run_study("ll-accuracy", _STUDIES["ll-accuracy"], configs, out, 0,
+                              parallel) == 1
+            study = json.loads((out / "summary.json").read_text())
+            assert study["checks"] == {"all_runs_finished": False}
+            assert study["runs"]["bagdc"]["status"] == "diverged"
+            assert all((out / c.name / "summary.json").is_file() for c in configs)
+            rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()
+                    if line.startswith("bagdc,hypergrad_error,")]
+            assert [(int(r[2]), float(r[4]).hex()) for r in rows] == \
+                [(k, e.hex()) for k, e in enumerate(want)][::10]
 
 
 class TestBuildProblem:

@@ -254,8 +254,20 @@ def _ask(oracle, field, x):
     return getattr(oracle, field)(*args)
 
 
+def _spy_solves(monkeypatch):
+    """The right-hand sides of the oracle's ``cg_solve`` calls, in call order."""
+    solved = []
+
+    def spy(op, b, *args, **kwargs):
+        solved.append(np.asarray(b, dtype=float).tobytes())
+        return cg_solve(op, b, *args, **kwargs)
+
+    monkeypatch.setattr(blo.metrics, "cg_solve", spy)
+    return solved
+
+
 class TestQuadraticOracleMemo:
-    """``a_inv`` keeps its last three solves; callbacks return new arrays."""
+    """``a_inv`` keeps its solves in a trail cache; callbacks return new arrays."""
 
     def test_returned_arrays_are_the_callers_own(self, quad_spd):
         x = np.array([0.5, -1.0, 2.0, 0.25])
@@ -263,18 +275,18 @@ class TestQuadraticOracleMemo:
         want = first.copy()
         first[:] = 7.0
         np.testing.assert_array_equal(quad_spd.oracle.y_star_mu(x, 0.0, 1.0), want)
-        assert quad_spd.oracle.y_star_mu(x, 0.0, 1.0) is not \
-            quad_spd.oracle.y_star_mu(x, 0.0, 1.0)
+        # the kept solves are read-only; no caller gets one
+        oracle = quad_spd.oracle
+        for ask in (oracle.grad_phi, lambda x: oracle.y_star_mu(x, 0.0, 1.0),
+                    lambda x: oracle.y_star_mu(x, 0.3, 2.0)):
+            first, second = ask(x), ask(x)
+            assert first.flags.writeable and second.flags.writeable
+            assert not np.shares_memory(first, second)
+            assert first.tobytes() == second.tobytes()
 
     def test_one_solve_per_distinct_point(self, monkeypatch):
         bed = make_quadratic(5, spectrum=(0.5, 5.0), seed=2)
-        solved = []
-
-        def spy(op, b, *args, **kwargs):
-            solved.append(np.asarray(b, dtype=float).tobytes())
-            return cg_solve(op, b, *args, **kwargs)
-
-        monkeypatch.setattr(blo.metrics, "cg_solve", spy)
+        solved = _spy_solves(monkeypatch)
         rng = np.random.default_rng(5)
         x0, x1, y, v, d = (rng.standard_normal(5) for _ in range(5))
         # a trace row at x1, the probe of that step at x0, the next one at x1
@@ -285,16 +297,21 @@ class TestQuadraticOracleMemo:
         hypergrad_error(d, bed.oracle, x1)
         assert solved == [x1.tobytes(), x0.tobytes()]
 
-        # a probed run with a row every step: every right-hand side is solved
-        # once, though x_{k+1} comes back after x_k and x_{k+2}
-        solved.clear()
+    @pytest.mark.parametrize("method", [MethodSpec("bagdc"), MethodSpec("rhg", T=5)],
+                             ids=["bagdc", "rhg"])
+    def test_one_solve_per_trace_row(self, monkeypatch, method):
+        # a row every step asks grad_phi, y_star_mu and v_star_mu at x_{k+1};
+        # the probe solves its points together after the run (cg_solve_rows)
+        bed = make_quadratic(5, spectrum=(0.5, 5.0), seed=2)
+        solved, rows, probed = _spy_solves(monkeypatch), [], []
         _, summary = run_solver(
-            bed.problem, MethodSpec("rhg", T=5), ScheduleConfig(alpha=0.1, beta=0.2, eta=0.2),
-            StopRule(max_iters=20), bed.oracle,
-            probe=lambda k, seconds, before, after, d: hypergrad_error(d, bed.oracle,
-                                                                       before.x))
-        assert summary.iterations == 20
-        assert len(solved) == len(set(solved)) == 21  # x_0 .. x_20
+            bed.problem, method, ScheduleConfig(alpha=0.1, beta=0.2, eta=0.2),
+            StopRule(max_iters=20), bed.oracle, sink=rows.append,
+            probe=lambda k, seconds, before, after, d: probed.append((d, before.x, after.x)))
+        ds, xs, afters = (np.stack(col) for col in zip(*probed))
+        hypergrad_error(ds, bed.oracle, xs)
+        assert summary.iterations == len(rows) == 20
+        assert solved == [x.tobytes() for x in afters]  # x_1 .. x_20, each once
 
     @settings(max_examples=60, deadline=None)
     @given(asks=st.lists(st.tuples(st.sampled_from(_ORACLE_FIELDS), st.integers(0, 3)),
