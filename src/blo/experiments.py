@@ -24,8 +24,8 @@ from .config import ConfigError, ExperimentConfig, ProblemSpec, config_to_dict
 from .dataio import load_idx
 from .metrics import TRACE_HEADER, TraceRecord, hypergrad_error
 from .problem import Counts
-from .solvers import (_METRIC_ERRORS, MethodSpec, RunSummary, ScheduleConfig,
-                      SolverState, StopRule, run_solver)
+from .solvers import (MethodSpec, RunSummary, ScheduleConfig, SolverState, StopRule,
+                      run_solver)
 from . import svgplot
 from .svgplot import AxesSpec, Series
 from .testbeds import (Testbed, classifier_accuracy, corrupt_labels, f1_clean,
@@ -174,6 +174,16 @@ def _map_runs(fn: Callable, items: list, parallel: int, lost: Callable) -> list:
             for item, future in zip(items, futures)]
 
 
+def _out_dir(out_dir) -> Path:
+    """``out_dir`` as a directory, made if need be; a ``ConfigError`` if it cannot be."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file of that name
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
                     parallelism: int = 1) -> int:
     """Run each config in its own subdirectory; 0 iff every run finished clean.
@@ -181,8 +191,7 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
     _check_parallel(parallelism)
     if not configs:
         return 0
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     names = []
     for i, cfg in enumerate(configs):
         names.append(cfg.name if cfg.name is not None else f"run-{i:03d}")
@@ -229,7 +238,7 @@ class Study:
     columns: tuple[str, ...]  # trace columns copied into comparison.csv
     figures: tuple[Figure, ...]
     checks: Callable[[dict[str, StudyRun]], dict[str, bool]]
-    # a probe with a ``flush`` has it called once its run has ended
+    # a per-step probe; one with a ``flush`` has it called once its run has ended
     probe: Callable[[StudyRun], Callable] | None = None
     # comparison rows written ahead of a run's trace rows
     rows: Callable[[StudyRun], list[str]] | None = None
@@ -398,38 +407,23 @@ def _ll_accuracy_configs(seed: int, idx=None) -> list[ExperimentConfig]:
                            seed=seed, trace_every=10) for name, m in specs]
 
 
-_PROBE_BLOCK = 64  # steps whose ground truth one stacked CG solves
-
-
 def _hypergrad_probe(run: StudyRun):
-    """Keeps (k, d, x_k) of each step and appends (k, |d - grad phi(x_k)|) to
-    ``run.probed`` a block of steps at a time; ``flush`` solves what is left.
-    A point whose ground truth cannot be solved records ``nan``."""
+    """Keeps (k, d, x_k) of each step; ``flush`` solves the run's ground truth
+    in one stack and appends (k, |d - grad phi(x_k)|) to ``run.probed``.  A
+    point whose ground truth cannot be solved records ``nan``."""
     oracle = run.built.oracle
-    block: list[tuple] = []  # (k, d, x_k) of the open block's steps
-
-    def error_or_nan(d, x):
-        try:
-            return hypergrad_error(d, oracle, x)
-        except _METRIC_ERRORS:
-            return float("nan")
+    points: list[tuple] = []
 
     def flush():
-        if block:
-            ks, ds, xs = zip(*block)
-            block.clear()
-            # as in the run's loop: a diverging point raises, it does not warn
+        if points:
+            ks, ds, xs = zip(*points)
+            # as in the run's loop: a diverged point is nan, it does not warn
             with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    errors = hypergrad_error(np.stack(ds), oracle, np.stack(xs)).tolist()
-                except _METRIC_ERRORS:  # a point failed: solve each alone
-                    errors = [error_or_nan(d, x) for d, x in zip(ds, xs)]
-            run.probed.extend(zip(ks, errors))
+                errors = hypergrad_error(np.stack(ds), oracle, np.stack(xs))
+            run.probed.extend(zip(ks, errors.tolist()))
 
     def probe(k, seconds, before, after, d):
-        block.append((k, d, before.x))
-        if len(block) == _PROBE_BLOCK:
-            flush()
+        points.append((k, d, before.x))
     probe.flush = flush
     return probe
 
@@ -665,6 +659,4 @@ def reproduce(study: str, out_dir, seed: int | None = None,
         configs = spec.configs(seed, idx)
     except ValueError as exc:  # the seed or IDX paths the specs reject
         raise ConfigError(str(exc)) from exc
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _run_study(study, spec, configs, out, seed, parallel)
+    return _run_study(study, spec, configs, _out_dir(out_dir), seed, parallel)

@@ -2,7 +2,8 @@
 spectral estimation, and seeded Gaussian draws.
 
 Vectors are plain 1-D float64 numpy arrays; ``cg_solve_rows`` takes a
-(K, n) stack of them, one per row.  An operator A is its matvec
+(K, n) stack of them, one per row, and gives an all-``nan`` row where
+``cg_solve`` on that row would raise.  An operator A is its matvec
 ``apply(u) = A u`` (a ``Matvec``), so the same code path serves
 explicit test matrices and Hessian-vector oracles alike.  Every function
 here is pure and calls its operator only from the calling thread, so
@@ -106,11 +107,11 @@ def cg_solve_rows(apply: Matvec, B: Array, tol: float = 1e-10,
     """``cg_solve`` on every row of a (K, n) stack at once, in lockstep.
 
     ``apply`` must map a stack of rows to the stack of their products.
-    Returns the (K, n) solutions and the (K,) iteration counts; row i's are
-    bitwise those of ``cg_solve(apply, B[i], tol, max_iter)``.  A row leaves
-    the active set at the iteration where its own stop test fires.  Raises
-    what ``cg_solve`` raises, at the first iteration where an active row
-    would.
+    Returns the (K, n) solutions and the (K,) iteration counts.  Row i
+    leaves the active set at the product where ``cg_solve(apply, B[i],
+    tol, max_iter)`` would stop.  Where that returns, row i is bitwise its
+    solution and count.  Where it would raise, row i is all ``nan`` and its
+    count is the product it broke at; nothing raises.
     """
     B = np.asarray(B, dtype=float)
     if max_iter is None:
@@ -128,25 +129,19 @@ def cg_solve_rows(apply: Matvec, B: Array, tol: float = 1e-10,
         if not live.size:
             break
         ap = apply(p)
-        pp = _row_dots(p, p)
         curv = _row_dots(p, ap)
-        bad = curv <= _CURV_FLOOR * pp
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NonPositiveCurvatureError(
-                f"curvature {curv[i]:.3e} along a CG direction with |p|^2 = {pp[i]:.3e}; "
-                "operator is not positive definite")
-        step = (rs / curv)[:, None]
+        broke = curv <= _CURV_FLOOR * _row_dots(p, p)
+        step = (rs / np.where(broke, 1.0, curv))[:, None]
         x = x + step * p
         r = r - step * ap
         rs_new = _row_dots(r, r)
-        if not np.isfinite(rs_new).all():
-            raise DivergenceError("conjugate gradient residual became non-finite")
+        broke |= ~np.isfinite(rs_new)
         done = np.sqrt(rs_new) <= stop
-        if done.any():
-            X[live[done]], iters[live[done]] = x[done], it
+        left = broke | done
+        if left.any():  # a broken row's nan is written last
+            X[live[done]], X[live[broke]], iters[live[left]] = x[done], np.nan, it
             live, stop, x, r, p, rs, rs_new = (
-                a[~done] for a in (live, stop, x, r, p, rs, rs_new))
+                a[~left] for a in (live, stop, x, r, p, rs, rs_new))
         p = r + (rs_new / rs)[:, None] * p
         rs = rs_new
     X[live], iters[live] = x, max_iter

@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (Array, Matvec, _norm, _row_dots, cg_solve, cg_solve_rows,
-                     gaussian_vector)
+from .linalg import Array, Matvec, _row_dots, cg_solve, cg_solve_rows, gaussian_vector
 from .problem import BilevelProblem, _trail_cache, psi_product, psi_weights
 
 
@@ -42,11 +41,11 @@ def kkt_residual_aggregated(problem: BilevelProblem, x: Array, y: Array,
     return _kkt(problem, psi_weights(problem, mu, lam), x, y, v)
 
 
-def hypergrad_error(d: Array, oracle: AnalyticOracle, x: Array) -> float | Array:
-    """Distance of a hypergradient estimate from the oracle grad phi(x); for
-    (K, n) stacks d and x, the K distances of their rows."""
+def hypergrad_error(d: Array, oracle: AnalyticOracle, x: Array) -> Array:
+    """For (K, n) stacks of hypergradient estimates d and points x, the K
+    distances |d[i] - grad phi(x[i])|; ``nan`` where the oracle gives none."""
     r = d - oracle.grad_phi(x)
-    return _norm(r) if r.ndim == 1 else np.sqrt(_row_dots(r, r))
+    return np.sqrt(_row_dots(r, r))
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,10 @@ class AnalyticOracle:
     """Closed-form ground truth for a testbed.
 
     ``grad_phi`` takes a point or a (K, n) stack of points, and gives
-    one gradient per row.  ``y_star_mu`` and ``v_star_mu`` take (x, mu,
-    lam) and describe the aggregated lower level; at mu = 0 ``y_star_mu``
-    is the lower solution (the optimistic one where there are several).
+    one gradient per row; a stack's row it cannot solve is all ``nan``.
+    ``y_star_mu`` and ``v_star_mu`` take (x, mu, lam) and describe the
+    aggregated lower level; at mu = 0 ``y_star_mu`` is the lower solution
+    (the optimistic one where there are several).
     """
 
     x_star: Array
@@ -80,8 +80,9 @@ def quadratic_oracle(a: Matvec, z0: Array) -> AnalyticOracle:
     1e-12, so A may be matrix-free.  A must be symmetric positive
     definite; a handful of seeded Rayleigh quotients are checked.
     ``grad_phi`` of a (K, n) stack solves its rows together
-    (``cg_solve_rows``), each bitwise as alone; that needs an ``a`` that
-    acts row-wise on a stack, as ``make_quadratic``'s diagonal does.
+    (``cg_solve_rows``), each bitwise as alone; a row on which the solve
+    alone would raise is all ``nan``.  That needs an ``a`` that acts
+    row-wise on a stack, as ``make_quadratic``'s diagonal does.
 
     Single-point solves are kept by ``_trail_cache``; every callback
     returns a new array computed from them.

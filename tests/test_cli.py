@@ -62,6 +62,16 @@ class TestRunCommand:
         assert "config error:" in err
         assert "runs[0].method.name: unknown method 'bgdc'" in err
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_on_a_file_exits_two_and_writes_nothing(self, tmp_path, capsys, out):
+        cfg = write_config(tmp_path, QUAD_RUN)
+        (tmp_path / "afile").write_text("kept")
+        assert main(["run", cfg, "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot create output directory {tmp_path / out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+        assert (tmp_path / "afile").read_text() == "kept"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err
@@ -238,6 +248,15 @@ class TestReproduceCommand:
         assert main(["reproduce", *argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_on_a_file_exits_two_and_writes_nothing(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("kept")
+        assert main(["reproduce", "counterexample", "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot create output directory {tmp_path / out}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept"
 
     def test_missing_idx_files_fail_the_study(self, tmp_path, capsys):
         out = tmp_path / "hc"

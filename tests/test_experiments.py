@@ -1,13 +1,13 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 import textwrap
 import time
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,10 +18,11 @@ import blo
 from blo.config import ProblemSpec, config_to_dict, parse_config
 from blo.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from blo.errors import ConfigError
-from blo.experiments import (_PROBE_BLOCK, _STUDIES, STUDIES, Study, StudyRun,
-                             _hypergrad_probe, _ll_accuracy_configs, _run_study,
-                             build_problem, execute_run, reproduce, run_experiments)
-from blo.metrics import TRACE_HEADER, hypergrad_error
+from blo.experiments import (_STUDIES, STUDIES, Study, StudyRun, _hypergrad_probe,
+                             _ll_accuracy_configs, _run_study, build_problem, execute_run,
+                             reproduce, run_experiments)
+from blo.linalg import cg_solve_rows
+from blo.metrics import TRACE_HEADER
 from blo.solvers import _METRIC_ERRORS, run_solver
 
 
@@ -381,56 +382,62 @@ class TestRunPool:
         assert (b["status"], b["iterations"]) == ("max-iters", 50)
 
 
+def _probe_with_reference(run: StudyRun):
+    """ll-accuracy's probe of ``run``, and a step probe that also records each
+    step's error from a per-point ``grad_phi`` solve, ``nan`` where it raises."""
+    probe, want = _hypergrad_probe(run), []
+
+    def checked(k, seconds, before, after, d):
+        try:
+            r = d - run.built.oracle.grad_phi(before.x)
+            want.append((k, math.sqrt(float(r.dot(r)))))
+        except _METRIC_ERRORS:
+            want.append((k, float("nan")))
+        probe(k, seconds, before, after, d)
+    return probe, checked, want
+
+
 class TestHypergradProbe:
-    """ll-accuracy's probe solves its ground truth a block of steps at a time."""
+    """ll-accuracy's probe solves a run's ground truth in one stack once the
+    run has ended."""
 
-    @pytest.mark.parametrize("max_iters", [1, 63, 64, 65, 130])
-    def test_blocks_give_per_point_errors_and_drop_their_steps(self, max_iters):
-        cfg = _ll_accuracy_configs(0)[0]
-        cfg = replace(cfg, stop=replace(cfg.stop, max_iters=max_iters))
-        run = StudyRun(cfg, build_problem(cfg.problem))
-        probe = _hypergrad_probe(run)
-        want, refs = [], []
+    @pytest.mark.parametrize("max_iters", [0, 1, 64, 130])
+    def test_one_stacked_solve_gives_every_steps_own_error(self, monkeypatch, max_iters):
+        stacks = []
 
-        def checked(k, seconds, before, after, d):
-            want.append((k, hypergrad_error(d, run.built.oracle, before.x)))
-            refs.append((weakref.ref(d), weakref.ref(before.x)))
-            probe(k, seconds, before, after, d)
-            # every step before the open block is solved and let go; the
-            # solver itself still holds step k's arrays
-            start = (k + 1) // _PROBE_BLOCK * _PROBE_BLOCK
-            assert len(run.probed) == start
-            assert all(ref() is None for pair in refs[:min(start, k)] for ref in pair)
+        def spy(apply, B, *args, **kwargs):
+            stacks.append(len(B))
+            return cg_solve_rows(apply, B, *args, **kwargs)
 
-        _, summary = run_solver(run.built.problem, cfg.method, cfg.schedule, cfg.stop,
-                                oracle=run.built.oracle, probe=checked)
-        assert summary.iterations == max_iters
-        probe.flush()
-        assert [(k, e.hex()) for k, e in run.probed] == [(k, e.hex()) for k, e in want]
+        monkeypatch.setattr(blo.metrics, "cg_solve_rows", spy)
+        for cfg in _ll_accuracy_configs(0):
+            cfg = replace(cfg, stop=replace(cfg.stop, max_iters=max_iters))
+            run = StudyRun(cfg, build_problem(cfg.problem))
+            probe, checked, want = _probe_with_reference(run)
+            _, summary = run_solver(run.built.problem, cfg.method, cfg.schedule, cfg.stop,
+                                    oracle=run.built.oracle, probe=checked)
+            assert summary.iterations == max_iters
+            assert not run.probed and not stacks  # nothing is solved while the run steps
+            probe.flush()
+            assert stacks == ([max_iters] if max_iters else [])
+            stacks.clear()
+            # every step, by float.hex
+            assert [(k, e.hex()) for k, e in run.probed] == [(k, e.hex()) for k, e in want]
 
+    @pytest.mark.filterwarnings("error")
     def test_a_point_it_cannot_solve_is_nan_and_the_study_ends(self, tmp_path):
         configs = _ll_accuracy_configs(0)[:2]
         # bagdc at alpha 50 diverges; CG fails on some of its last finite iterates
         cfg = configs[0] = replace(configs[0],
                                    schedule=replace(configs[0].schedule, alpha=50.0))
         run = StudyRun(cfg, build_problem(cfg.problem))
-        probe = _hypergrad_probe(run)
-        want, unsolvable = [], []
-
-        def checked(k, seconds, before, after, d):
-            try:
-                want.append(hypergrad_error(d, run.built.oracle, before.x))
-            except _METRIC_ERRORS:
-                want.append(float("nan"))
-                unsolvable.append(k)
-            probe(k, seconds, before, after, d)
-
+        probe, checked, want = _probe_with_reference(run)
         _, summary = run_solver(run.built.problem, cfg.method, cfg.schedule, cfg.stop,
                                 oracle=run.built.oracle, probe=checked)
         probe.flush()
-        assert summary.status == "diverged" and unsolvable
+        assert summary.status == "diverged" and any(math.isnan(e) for _, e in want)
         # float.hex reads every nan as "nan"
-        assert [(k, e.hex()) for k, e in run.probed] == [(k, e.hex()) for k, e in enumerate(want)]
+        assert [(k, e.hex()) for k, e in run.probed] == [(k, e.hex()) for k, e in want]
 
         for mode, parallel in (("inline", 1), ("pool", 2)):
             out = tmp_path / mode
@@ -444,7 +451,7 @@ class TestHypergradProbe:
             rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()
                     if line.startswith("bagdc,hypergrad_error,")]
             assert [(int(r[2]), float(r[4]).hex()) for r in rows] == \
-                [(k, e.hex()) for k, e in enumerate(want)][::10]
+                [(k, e.hex()) for k, e in want][::10]
 
 
 class TestBuildProblem:

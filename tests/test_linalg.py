@@ -316,18 +316,15 @@ def rowwise(op):
 
 def stacked_outcome(op, stack_op, B, tol, max_iter):
     """``cg_solve_rows`` on B, and what ``cg_solve`` does with each row: its
-    result, or the exception it raised and the product it raised at."""
+    result or the exception it raised, and the products it took."""
     with np.errstate(all="ignore"):
-        try:
-            got = ("ok", cg_solve_rows(stack_op, B, tol, max_iter))
-        except (DivergenceError, NonPositiveCurvatureError) as exc:
-            got = (type(exc), str(exc))
-    alone = [outcome(cg_solve, op, b, tol, max_iter) for b in B]
-    return got, alone
+        got = cg_solve_rows(stack_op, B, tol, max_iter)
+    return got, [outcome(cg_solve, op, b, tol, max_iter) for b in B]
 
 
 class TestCgSolveRows:
-    """Each row of the stacked solve is bitwise ``cg_solve`` on that row alone."""
+    """Each row of the stacked solve is bitwise ``cg_solve`` on that row alone,
+    or all ``nan`` where that raises."""
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(OPERATOR_KINDS), dim=st.integers(1, 40),
@@ -340,23 +337,16 @@ class TestCgSolveRows:
         stack_op = rowwise(op) if kind == "dense" else op  # a diagonal acts row-wise
         rng = np.random.default_rng(seed + 1)
         B = np.array([s * rng.standard_normal(dim) for s in scales]).reshape(-1, dim)
-        got, alone = stacked_outcome(op, stack_op, B, tol, max_iter)
-        raised = [(len(calls), res) for res, calls in alone if res[0] != "ok"]
-        if not raised:
-            assert got[0] == "ok"
-            x, iters = got[1]
-            assert x.shape == B.shape and iters.shape == (len(B),)
-            for i, ((_, res), _) in enumerate(alone):
-                assert bits(x[i]) == bits(res.x)
-                assert iters[i] == res.iterations
-            return
-        # the stack raises at the first product where a row raises alone; at that
-        # product the curvature test comes before the residual test
-        first = min(at for at, _ in raised)
-        errors = [res for at, res in raised if at == first]
-        want = next((res for res in errors if res[0] is NonPositiveCurvatureError),
-                    errors[0])
-        assert got == want
+        (x, iters), alone = stacked_outcome(op, stack_op, B, tol, max_iter)
+        assert x.shape == B.shape and iters.shape == (len(B),)
+        for i, (res, calls) in enumerate(alone):
+            # all nan exactly where cg_solve raises, counting the product it raised at
+            assert np.isnan(x[i]).all() == (res[0] != "ok")
+            if res[0] == "ok":
+                assert bits(x[i]) == bits(res[1].x)
+                assert iters[i] == res[1].iterations
+            else:
+                assert iters[i] == len(calls)
 
     def test_zero_rows(self):
         x, iters = cg_solve_rows(diagonal([1.0, 2.0]), np.zeros((0, 2)))
@@ -379,12 +369,32 @@ class TestCgSolveRows:
             assert bits(x[i]) == bits(cg_solve(op, b, 1e-12, max_iter=3).x)
 
     def test_indefinite_diagonal_raises_as_cg_solve(self):
+        """Where ``cg_solve`` raises on a row, that row is nan, counted to the
+        product it raised at; the other rows are bitwise their own solves."""
         op = diagonal([1.0, -1.0, 2.0])
-        B = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        B = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 3.0]])
+        x, iters = cg_solve_rows(op, B)
+        raised = []
+        for i, b in enumerate(B):
+            calls = []
+            try:
+                res = cg_solve(counted(op, calls), b)
+            except NonPositiveCurvatureError:
+                raised.append(i)
+                assert np.isnan(x[i]).all() and iters[i] == len(calls)
+            else:
+                assert bits(x[i]) == bits(res.x) and iters[i] == res.iterations
+        assert raised == [1, 2] and iters.tolist() == [1, 1, 2, 1]
+
+    def test_zero_curvature_is_not_divided_by(self):
+        op = diagonal([1.0, 0.0, 2.0])
+        B = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(NonPositiveCurvatureError):
             cg_solve(op, B[1])
-        with pytest.raises(NonPositiveCurvatureError):
-            cg_solve_rows(op, B)
+        with np.errstate(all="raise"):
+            x, iters = cg_solve_rows(op, B)
+        assert bits(x[0]) == bits(cg_solve(op, B[0]).x)
+        assert np.isnan(x[1]).all() and iters.tolist() == [1, 1]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
     def test_row_dots_match_dot_bitwise(self, n):
