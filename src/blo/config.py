@@ -1,16 +1,21 @@
 """JSON experiment configs: parsing, validation, sweep expansion.
 
 A config file is a single run object, a list of them, or
-{"runs": [...]}.  Numeric leaves given as lists are swept: the run
-expands into the cross product of all list-valued entries, so
-
-    {"schedule": {"eta": [0.25, 1.0]}, "seed": [0, 1]}
-
-yields four runs.  The run dataclasses are the schema: each JSON object
-takes its allowed keys, defaults, required keys and leaf types from the
+{"runs": [...]}.  The run dataclasses are the schema: each JSON object
+takes its allowed keys, defaults, required keys and value types from the
 fields of its dataclass, and its semantic checks from that dataclass's
 ``__post_init__``.  Validation errors carry the JSON path of the
 offending entry.
+
+A list given for a field that takes one value is a sweep.  An object
+stands for the cross product of its fields' values, taken in the
+document's key order with the first key varying slowest, so
+
+    {"schedule": {"eta": [0.25, 1.0]}, "seed": [0, 1]}
+
+yields four runs: eta 0.25 with seeds 0 and 1, then eta 1.0 with both.
+An entry of a swept object may hold sweeps of its own.  A vector field
+(``spectrum``, ``z0``) takes a JSON list as its value, not as a sweep.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ class ProblemSpec:
 
     family: str
     n: int = 100
-    spectrum: object = "identity"
-    z0: object = "ones"
+    spectrum: str | tuple[float, ...] = "identity"
+    z0: str | tuple[float, ...] = "ones"
     seed: int = 0
     classes: int = 10
     dim: int = 20
@@ -57,6 +62,11 @@ class ProblemSpec:
     idx_val_labels: str | None = None
 
     def __post_init__(self):
+        if self.spectrum != "identity" and not (isinstance(self.spectrum, tuple)
+                                                and len(self.spectrum) == 2):
+            raise FieldError("spectrum", 'expected "identity" or [lmin, lmax]')
+        if self.z0 not in ("ones", "random") and not isinstance(self.z0, tuple):
+            raise FieldError("z0", 'expected "ones", "random", or a vector')
         if self.family not in _PROBLEM_FAMILIES:
             raise FieldError("family", f"unknown problem family {self.family!r} "
                                        f"(expected one of {_PROBLEM_FAMILIES})")
@@ -64,10 +74,10 @@ class ProblemSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not isinstance(self.spectrum, str) and not 0.0 < self.spectrum[0] <= self.spectrum[1]:
+        if isinstance(self.spectrum, tuple) and not 0.0 < self.spectrum[0] <= self.spectrum[1]:
             raise ValueError(f"spectrum bounds must satisfy 0 < lmin <= lmax, "
                              f"got {list(self.spectrum)}")
-        if not isinstance(self.z0, str) and len(self.z0) != self.n:
+        if isinstance(self.z0, tuple) and len(self.z0) != self.n:
             raise ValueError(f"z0 has {len(self.z0)} entries, expected n = {self.n}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
@@ -111,19 +121,36 @@ class ExperimentConfig:
                                      f"without / or NUL, got {self.name!r}")
 
 
-def _require_dict(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+class _Field(typing.NamedTuple):
+    """One dataclass field as the parser reads it."""
+
+    kind: type  # int, float, str, or a run dataclass
+    optional: bool  # takes null
+    vector: bool  # takes a JSON list as its value, a tuple of floats
+    required: bool
+    nested: bool  # ``kind`` is a run dataclass
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+@functools.cache
+def _plan(cls) -> dict[str, _Field]:
+    """The fields of ``cls`` by name, in field order.  Resolving the string
+    annotations is slow, so each class is resolved once."""
+    plan = {}
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        plan[f.name] = _Field(kinds[0], type(None) in kinds,
+                              any(typing.get_origin(k) is tuple for k in kinds),
+                              f.default is dataclasses.MISSING,
+                              dataclasses.is_dataclass(kinds[0]))
+    return plan
 
 
-def _float(val, path: str) -> float:
+def _number(val, path: str) -> float:
     """A JSON number as a float; ``json`` reads NaN and Infinity, which no
     field can use."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ConfigError(f"{path}: expected a number, got {type(val).__name__}")
     try:
         out = float(val)
     except OverflowError:  # an integer literal beyond the float range
@@ -133,111 +160,57 @@ def _float(val, path: str) -> float:
     return out
 
 
-def _vector(val: list, path: str) -> tuple[float, ...]:
-    return tuple(_float(c, f"{path}[{i}]") for i, c in enumerate(val))
+_EXPECTED = {int: "an integer", str: "a string"}
 
 
-def _spectrum(val, path: str):
-    if val == "identity":
+def _leaf(field: _Field, val, path: str):
+    """One JSON value as ``field`` takes it: int, float, str, null or vector."""
+    if field.vector and isinstance(val, list):
+        return tuple(_number(c, f"{path}[{i}]") for i, c in enumerate(val))
+    if field.vector or (field.optional and val is None):
+        return val  # the dataclass checks a vector field's names and rejects the rest
+    if field.kind is float:
+        return _number(val, path)
+    if isinstance(val, field.kind) and not isinstance(val, bool):
         return val
-    if isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)):
-        return _vector(val, path)
-    raise ConfigError(f"{path}: expected \"identity\" or [lmin, lmax]")
+    raise ConfigError(f"{path}: expected {_EXPECTED[field.kind]}, got {type(val).__name__}")
 
 
-def _z0(val, path: str):
-    if val in ("ones", "random"):
-        return val
-    if isinstance(val, list) and all(map(_is_number, val)):
-        return _vector(val, path)
-    raise ConfigError(f"{path}: expected \"ones\", \"random\", or a vector")
-
-
-# Fields whose JSON value is a structure with its own reader; their list
-# values are never sweep axes.
-_STRUCTURAL = {"spectrum": _spectrum, "z0": _z0}
-
-_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
-# Resolving the string annotations is slow, so each class is resolved once.
-_field_types = functools.cache(typing.get_type_hints)
-
-
-def _leaf(val, kind, path: str):
-    """Read one value as ``kind``: a run dataclass, int, float, str or X | None."""
-    if dataclasses.is_dataclass(kind):
-        return _parse_obj(kind, val, path)
-    if type(None) in typing.get_args(kind):
-        if val is None:
-            return None
-        kind = typing.get_args(kind)[0]
-    if kind is float and _is_number(val):
-        return _float(val, path)
-    if kind is not float and isinstance(val, kind) and not isinstance(val, bool):
-        return val
-    raise ConfigError(f"{path}: expected {_EXPECTED[kind]}, got {type(val).__name__}")
-
-
-def _parse_obj(cls, obj, path: str):
-    """Build the dataclass ``cls`` from the JSON object ``obj`` at ``path``,
-    taking allowed keys, defaults, required keys and leaf types from its
-    fields.  A ``ValueError`` from its ``__post_init__`` becomes a
-    ``ConfigError`` at ``path`` (at the field, for a ``FieldError``)."""
-    obj = _require_dict(obj, path)
-    fields, kinds = dataclasses.fields(cls), _field_types(cls)
-    allowed = sorted(kinds)
-    unknown = sorted(set(obj) - set(allowed))
+def _parse_obj(cls, obj, path: str) -> list:
+    """Every ``cls`` the JSON object ``obj`` at ``path`` stands for.  Allowed
+    keys, defaults, required keys and value types come from the fields of
+    ``cls``.  A list given for a field that takes one value is a sweep, and a
+    nested object may stand for several values; the result is the cross
+    product, in ``obj``'s key order with the first key varying slowest.  A
+    ``ValueError`` from ``__post_init__`` becomes a ``ConfigError`` at ``path``
+    (at the field, for a ``FieldError``)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
+    plan = _plan(cls)
+    unknown = sorted(obj.keys() - plan.keys())
     if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: unknown key (allowed: {allowed})")
-    kwargs = {}
-    for f in fields:
-        at = f"{path}.{f.name}"
-        if f.name not in obj:
-            if f.default is dataclasses.MISSING:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key (allowed: {sorted(plan)})")
+    values = {}
+    for name, field in plan.items():
+        at = f"{path}.{name}"
+        if name not in obj:
+            if field.required:
                 raise ConfigError(f"{at}: required")
-        elif f.name in _STRUCTURAL:
-            kwargs[f.name] = _STRUCTURAL[f.name](obj[f.name], at)
-        else:
-            kwargs[f.name] = _leaf(obj[f.name], kinds[f.name], at)
-    try:
-        return cls(**kwargs)
-    except FieldError as exc:
-        raise ConfigError(f"{path}.{exc.field}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _sweep_axes(obj: dict, prefix: str) -> list[tuple[str, list]]:
-    """Collect (dotted-path, values) for every list-valued sweepable leaf."""
-    axes = []
-    for key, val in obj.items():
-        path = f"{prefix}.{key}" if prefix else key
-        if isinstance(val, dict):
-            axes.extend(_sweep_axes(val, path))
-        elif isinstance(val, list) and key not in _STRUCTURAL:
-            if not val:
-                raise ConfigError(f"{path}: sweep list must be non-empty")
-            axes.append((path, val))
-    return axes
-
-
-def _set_path(obj: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        obj = obj[part]
-    obj[parts[-1]] = value
-
-
-def _expand_sweeps(run: dict, path: str) -> list[dict]:
-    axes = _sweep_axes(run, "")
-    if not axes:
-        return [run]
-    expanded = []
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        variant = json.loads(json.dumps(run))
-        for (dotted, _), value in zip(axes, combo):
-            _set_path(variant, dotted, value)
-        expanded.append(variant)
-    return expanded
+            continue
+        entries = obj[name] if isinstance(obj[name], list) and not field.vector else [obj[name]]
+        if not entries:
+            raise ConfigError(f"{at}: sweep list must be non-empty")
+        values[name] = ([out for entry in entries for out in _parse_obj(field.kind, entry, at)]
+                        if field.nested else [_leaf(field, entry, at) for entry in entries])
+    out = []
+    for combo in itertools.product(*(values[name] for name in obj)):
+        try:
+            out.append(cls(**dict(zip(obj, combo))))
+        except FieldError as exc:
+            raise ConfigError(f"{path}.{exc.field}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return out
 
 
 def parse_config(text: str) -> list[ExperimentConfig]:
@@ -257,13 +230,11 @@ def parse_config(text: str) -> list[ExperimentConfig]:
         raise ConfigError(f"expected an object or a list of runs, got {type(doc).__name__}")
     configs = []
     for i, raw in enumerate(doc):
-        path = f"runs[{i}]"
-        variants = _expand_sweeps(_require_dict(raw, path), path)
-        for j, variant in enumerate(variants):
-            cfg = _parse_obj(ExperimentConfig, variant, path)
-            if cfg.name is not None and len(variants) > 1:
-                cfg = dataclasses.replace(cfg, name=f"{cfg.name}-{j}")
-            configs.append(cfg)
+        runs = _parse_obj(ExperimentConfig, raw, f"runs[{i}]")
+        if len(runs) > 1:  # each run of a named sweep gets its own name
+            runs = [cfg if cfg.name is None else dataclasses.replace(cfg, name=f"{cfg.name}-{j}")
+                    for j, cfg in enumerate(runs)]
+        configs += runs
     if not configs:
         raise ConfigError("config contains no runs")
     return configs

@@ -83,7 +83,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _run_to_dir(built: Testbed, cfg: ExperimentConfig, run_dir: Path,
                 probe=None) -> tuple[SolverState, RunSummary, list[TraceRecord]]:
-    run_dir.mkdir(parents=True, exist_ok=True)
     records: list[TraceRecord] = []
     with open(run_dir / "trace.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
@@ -114,7 +113,6 @@ def _failed_run(cfg: ExperimentConfig, run_dir: Path, error: str,
                 error_at: int | None) -> RunSummary:
     """The ``error`` summary of a run that could not start or whose worker process
     died, written into ``run_dir`` with a header-only trace."""
-    run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "trace.csv").write_text(TRACE_HEADER + "\n", encoding="utf-8")
     summary = RunSummary("error", 0, 0.0, Counts(), {}, {}, error, error_at)
     _write_json(run_dir / "summary.json", _summary_payload(summary, cfg))
@@ -123,7 +121,7 @@ def _failed_run(cfg: ExperimentConfig, run_dir: Path, error: str,
 
 def execute_run(cfg: ExperimentConfig, run_dir: Path) -> RunSummary:
     """Build the problem a config names and run it into ``run_dir``."""
-    run_dir = Path(run_dir)
+    run_dir = _out_dir(run_dir)
     built, failed = _build_or_fail(cfg, run_dir)
     if failed is not None:
         return failed
@@ -174,13 +172,21 @@ def _map_runs(fn: Callable, items: list, parallel: int, lost: Callable) -> list:
             for item, future in zip(items, futures)]
 
 
-def _out_dir(out_dir) -> Path:
-    """``out_dir`` as a directory, made if need be; a ``ConfigError`` if it cannot be."""
-    out = Path(out_dir)
+def _out_dir(out_dir, runs: Sequence[str] = ()) -> Path:
+    """``out_dir`` as a directory, with a subdirectory for each name in ``runs``,
+    made if need be.  A ``ConfigError`` if one cannot be; then no run's
+    directory is left made."""
+    out, made = Path(out_dir), []
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for run_dir in (out / name for name in runs):
+            if not run_dir.is_dir():
+                run_dir.mkdir()
+                made.append(run_dir)
     except OSError as exc:  # e.g. a file of that name
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        for run_dir in made:
+            run_dir.rmdir()
+        raise ConfigError(f"cannot create output directory {exc.filename}: {exc}") from exc
     return out
 
 
@@ -191,12 +197,12 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
     _check_parallel(parallelism)
     if not configs:
         return 0
-    out = _out_dir(out_dir)
     names = []
     for i, cfg in enumerate(configs):
         names.append(cfg.name if cfg.name is not None else f"run-{i:03d}")
     if len(set(names)) != len(names):
         raise ConfigError("run names collide; give sweep entries distinct names")
+    out = _out_dir(out_dir, names)
     jobs = [(cfg, out / name) for cfg, name in zip(configs, names)]
     summaries = _map_runs(lambda job: execute_run(*job), jobs, parallelism,
                           lambda job, error: _failed_run(*job, error, None))
@@ -249,8 +255,9 @@ class Study:
     pool: bool = False
 
 
-def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out: Path,
+def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out_dir,
                seed: int, parallel: int = 1) -> int:
+    out = _out_dir(out_dir, [cfg.name for cfg in configs])
     _write_json(out / "config.json", {"runs": [config_to_dict(c) for c in configs]})
     runs: dict[str, StudyRun] = {}
     for cfg in configs:
@@ -659,4 +666,4 @@ def reproduce(study: str, out_dir, seed: int | None = None,
         configs = spec.configs(seed, idx)
     except ValueError as exc:  # the seed or IDX paths the specs reject
         raise ConfigError(str(exc)) from exc
-    return _run_study(study, spec, configs, _out_dir(out_dir), seed, parallel)
+    return _run_study(study, spec, configs, out_dir, seed, parallel)

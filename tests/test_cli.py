@@ -72,6 +72,23 @@ class TestRunCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
         assert (tmp_path / "afile").read_text() == "kept"
 
+    # the second run's name is taken by a file: the first run's directory,
+    # made before it, is removed again and no run starts
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_file_named_like_a_run_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                                 parallel):
+        cfg = write_config(tmp_path, {"runs": [QUAD_RUN, QUAD_RUN]})
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "run-001").write_text("kept")
+        assert main(["run", cfg, "--parallel", parallel, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: cannot create output directory {out / 'run-001'}: ")
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["run-001"]
+        assert (out / "run-001").read_text() == "kept"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err
@@ -257,6 +274,21 @@ class TestReproduceCommand:
             f"config error: cannot create output directory {tmp_path / out}: ")
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert (tmp_path / "afile").read_text() == "kept"
+
+    # counterexample runs nosa then bagdc on one process; hypercleaning runs
+    # bagdc then rhg-T100 on a pool
+    @pytest.mark.parametrize("study, taken", [("counterexample", "bagdc"),
+                                              ("hypercleaning", "rhg-T100")])
+    def test_file_named_like_a_run_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                                 study, taken):
+        (tmp_path / taken).write_text("kept")
+        assert main(["reproduce", study, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: cannot create output directory {tmp_path / taken}: ")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == [taken]
+        assert (tmp_path / taken).read_text() == "kept"
 
     def test_missing_idx_files_fail_the_study(self, tmp_path, capsys):
         out = tmp_path / "hc"

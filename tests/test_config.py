@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import typing
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from blo.config import (ExperimentConfig, ProblemSpec, config_to_dict,
                         parse_config)
-from blo.errors import ConfigError
-from blo.experiments import build_problem
+from blo.errors import ConfigError, FieldError
+from blo.experiments import _STUDIES, STUDIES, build_problem
 from blo.solvers import (METHOD_NAMES, MethodSpec, ScheduleConfig, StopRule,
                          run_solver)
 
@@ -274,9 +275,19 @@ class TestSweeps:
                           "schedule": {"eta": [0.1, 1.0]},
                           "seed": [0, 1]})
         cfgs = parse_config(doc)
-        assert len(cfgs) == 4
-        assert {(c.schedule.eta, c.seed) for c in cfgs} == {
-            (0.1, 0), (0.1, 1), (1.0, 0), (1.0, 1)}
+        assert [(c.schedule.eta, c.seed) for c in cfgs] == [
+            (0.1, 0), (0.1, 1), (1.0, 0), (1.0, 1)]
+
+    def test_axes_vary_in_key_order_first_slowest(self):
+        # keys out of field order, at the top level and in two nested objects
+        doc = json.dumps({"seed": [0, 1], "name": "tune",
+                          "schedule": {"eta": [0.1, 1.0], "alpha": [0.2, 0.3]},
+                          "problem": {"family": "quadratic", "n": 3},
+                          "method": {"T": [1, 2], "name": "rhg"}})
+        cfgs = parse_config(doc)
+        assert [(c.seed, c.schedule.eta, c.schedule.alpha, c.method.T) for c in cfgs] == \
+            list(itertools.product([0, 1], [0.1, 1.0], [0.2, 0.3], [1, 2]))
+        assert [c.name for c in cfgs] == [f"tune-{j}" for j in range(16)]
 
     def test_named_sweep_gets_suffixes(self):
         doc = json.dumps({"name": "tune", "problem": {"family": "quadratic"},
@@ -302,7 +313,22 @@ class TestSweeps:
         doc = json.dumps({"problem": {"family": "quadratic"},
                           "method": {"name": "bagdc"},
                           "schedule": {"eta": []}})
-        with pytest.raises(ConfigError, match="sweep list must be non-empty"):
+        with pytest.raises(ConfigError,
+                           match=r"^runs\[0\]\.schedule\.eta: sweep list must be non-empty$"):
+            parse_config(doc)
+
+    def test_swept_object_holds_its_own_sweep(self):
+        doc = json.dumps({"problem": {"family": "quadratic"},
+                          "method": [{"name": "bagdc"}, {"name": "rhg", "T": [1, 10]}],
+                          "seed": [0, 1]})
+        assert [(c.method.name, c.method.T, c.seed) for c in parse_config(doc)] == [
+            ("bagdc", 100, 0), ("bagdc", 100, 1), ("rhg", 1, 0), ("rhg", 1, 1),
+            ("rhg", 10, 0), ("rhg", 10, 1)]
+
+    def test_entry_of_a_scalar_sweep_is_not_swept_again(self):
+        doc = json.dumps({"problem": {"family": "quadratic"},
+                          "method": {"name": "bagdc"}, "seed": [0, [1, 2]]})
+        with pytest.raises(ConfigError, match=r"^runs\[0\]\.seed: expected an integer, got list$"):
             parse_config(doc)
 
     def test_multi_run_document_with_sweep(self):
@@ -314,6 +340,50 @@ class TestSweeps:
         cfgs = parse_config(json.dumps({"runs": runs}))
         assert len(cfgs) == 3
         assert cfgs[2].problem.family == "multimin"
+
+
+class TestVectorFields:
+    @pytest.mark.parametrize("key, value, message", [
+        ("spectrum", None, 'expected "identity" or \\[lmin, lmax\\]'),
+        ("spectrum", 3, 'expected "identity" or \\[lmin, lmax\\]'),
+        ("spectrum", [1.0, 2.0, 3.0], 'expected "identity" or \\[lmin, lmax\\]'),
+        ("z0", None, 'expected "ones", "random", or a vector'),
+        ("z0", 2, 'expected "ones", "random", or a vector'),
+        ("z0", "mean", 'expected "ones", "random", or a vector'),
+    ], ids=["spectrum-null", "spectrum-number", "spectrum-triple", "z0-null", "z0-number",
+            "z0-name"])
+    def test_wrong_value_keeps_its_message(self, key, value, message):
+        doc = json.dumps({"problem": {"family": "quadratic", "n": 3, key: value},
+                          "method": {"name": "bagdc"}})
+        with pytest.raises(ConfigError, match=rf"^runs\[0\]\.problem\.{key}: {message}$"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("z0", ["a", 1, 1], r"z0\[0\]: expected a number, got str"),
+        ("z0", [1, 1, True], r"z0\[2\]: expected a number, got bool"),
+        ("spectrum", [0.5, [5]], r"spectrum\[1\]: expected a number, got list"),
+    ], ids=["z0-str", "z0-bool", "spectrum-list"])
+    def test_bad_entry_names_its_index(self, key, value, message):
+        doc = json.dumps({"problem": {"family": "quadratic", "n": 3, key: value},
+                          "method": {"name": "bagdc"}})
+        with pytest.raises(ConfigError, match=rf"^runs\[0\]\.problem\.{message}$"):
+            parse_config(doc)
+
+    def test_problem_spec_checks_them(self):
+        for key, value in (("spectrum", "flat"), ("spectrum", (1.0,)), ("z0", "mean"),
+                           ("z0", [1.0])):
+            with pytest.raises(FieldError) as info:
+                ProblemSpec(family="quadratic", n=1, **{key: value})
+            assert info.value.field == key
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_study_configs_round_trip(study):
+    """A study's config.json parses back to the study's own configs."""
+    spec = _STUDIES[study]
+    configs = spec.configs(spec.seed, None)
+    doc = {"runs": [config_to_dict(c) for c in configs]}
+    assert parse_config(json.dumps(doc, sort_keys=True)) == configs
 
 
 class TestProblemSpecFields:
