@@ -103,10 +103,8 @@ def _cmd_check(args) -> int:
             print(f"FAIL {label}: {type(exc).__name__}: {exc}")
             continue
         x = gaussian_vector(problem.n, cfg.seed + 101)
-        y = gaussian_vector(problem.m, cfg.seed + 202)
-        if cfg.problem.family == "hypercleaning":
-            # keep weights small so softmax finite differences stay tame
-            y = 0.1 * y
+        # small y keeps the softmax differences of hypercleaning tame
+        y = 0.1 * gaussian_vector(problem.m, cfg.seed + 202)
         report = fd_check_gradients(problem, x, y, seed=cfg.seed)
         if report.passed:
             worst = max(report.max_rel_error.values())

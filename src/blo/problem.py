@@ -157,61 +157,46 @@ def _rel(a: Array, ref: Array) -> float:
     return float(np.linalg.norm(a - ref) / max(np.linalg.norm(ref), 1e-12))
 
 
-def _fd_grad(fun: Callable[[Array], float], z: Array, h: float) -> Array:
-    g = np.zeros_like(z)
-    for i in range(z.size):
-        zp = z.copy(); zp[i] += h
-        zm = z.copy(); zm[i] -= h
-        g[i] = (fun(zp) - fun(zm)) / (2.0 * h)
-    return g
+FD_STEP = 1e-5  # central-difference step h
+FD_TOL = 1e-4  # largest relative error that passes
+FD_PROBES = 3  # seeded directions u per curvature product
 
 
 def fd_check_gradients(problem: BilevelProblem, x: Array, y: Array,
-                       h: float = 1e-5, tol: float = 1e-4,
-                       probes: int = 3, seed: int = 0) -> FdCheckReport:
-    """Compare every analytic oracle against central differences at (x, y).
-
-    Gradients are checked coordinate-wise; second-order products along
-    ``probes`` seeded random directions, the cross product through the
-    identity <jvp_xy(u), e_i> = d/dx_i <grad_y(x, y), u>.  Cost is
-    O(n + m) oracle evaluations, intended for desk-scale instances.
+                       seed: int = 0) -> FdCheckReport:
+    """Compare every analytic oracle against central differences at (x, y)
+    with step ``FD_STEP``: gradients along each unit vector e_i, curvature
+    products along ``FD_PROBES`` seeded directions u, <jvp_xy(u), e_i> as
+    d/dx_i <grad_y, u>.  An error above ``FD_TOL`` fails.  O(n + m) calls.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
-    errs: dict[str, float] = {}
 
-    errs["grad_x_ul"] = _rel(problem.grad_x_ul(x, y),
-                             _fd_grad(lambda xs: problem.ul_value(xs, y), x, h))
-    errs["grad_y_ul"] = _rel(problem.grad_y_ul(x, y),
-                             _fd_grad(lambda ys: problem.ul_value(x, ys), y, h))
-    errs["grad_y_ll"] = _rel(problem.grad_y_ll(x, y),
-                             _fd_grad(lambda ys: problem.ll_value(x, ys), y, h))
+    def central(fun, z, d):  # fun(z + h d) - fun(z - h d), before its 1/(2h)
+        return fun(z + FD_STEP * d) - fun(z - FD_STEP * d)
 
-    def hvp_err(prod, grad):
-        worst = 0.0
-        for _ in range(probes):
-            u = rng.standard_normal(problem.m)
-            ref = (grad(x, y + h * u) - grad(x, y - h * u)) / (2.0 * h)
-            worst = max(worst, _rel(prod(x, y, u), ref))
-        return worst
+    def partials(fun, z, u=None):  # d/dz_i of fun, or of <fun, u>, for each i
+        diffs = [central(fun, z, np.arange(z.size) == i) for i in range(z.size)]
+        return np.array([d if u is None else float(d @ u) for d in diffs]) / (2.0 * FD_STEP)
 
-    def jvp_err(prod, grad):
-        worst = 0.0
-        for _ in range(probes):
-            u = rng.standard_normal(problem.m)
-            ref = np.zeros(problem.n)
-            for i in range(problem.n):
-                xp = x.copy(); xp[i] += h
-                xm = x.copy(); xm[i] -= h
-                ref[i] = float((grad(xp, y) - grad(xm, y)) @ u) / (2.0 * h)
-            worst = max(worst, _rel(prod(x, y, u), ref))
-        return worst
+    def worst(prod, ref):  # the largest error over the seeded directions
+        return max(0.0, *(_rel(prod(x, y, u), ref(u))
+                          for u in rng.standard_normal((FD_PROBES, problem.m))))
 
-    errs["hvp_yy_ll"] = hvp_err(problem.hvp_yy_ll, problem.grad_y_ll)
-    errs["jvp_xy_ll"] = jvp_err(problem.jvp_xy_ll, problem.grad_y_ll)
+    errs = {
+        "grad_x_ul": _rel(problem.grad_x_ul(x, y),
+                          partials(lambda xs: problem.ul_value(xs, y), x)),
+        "grad_y_ul": _rel(problem.grad_y_ul(x, y),
+                          partials(lambda ys: problem.ul_value(x, ys), y)),
+        "grad_y_ll": _rel(problem.grad_y_ll(x, y),
+                          partials(lambda ys: problem.ll_value(x, ys), y)),
+    }
+    products = [("ll", problem.grad_y_ll, problem.hvp_yy_ll, problem.jvp_xy_ll)]
     if problem.has_ul_curvature:
-        errs["hvp_yy_ul"] = hvp_err(problem.hvp_yy_ul, problem.grad_y_ul)
-        errs["jvp_xy_ul"] = jvp_err(problem.jvp_xy_ul, problem.grad_y_ul)
-
-    return FdCheckReport(errs, tol)
+        products.append(("ul", problem.grad_y_ul, problem.hvp_yy_ul, problem.jvp_xy_ul))
+    for level, grad, hvp, jvp in products:
+        errs["hvp_yy_" + level] = worst(
+            hvp, lambda u: central(lambda ys: grad(x, ys), y, u) / (2.0 * FD_STEP))
+        errs["jvp_xy_" + level] = worst(jvp, lambda u: partials(lambda xs: grad(xs, y), x, u))
+    return FdCheckReport(errs, FD_TOL)

@@ -55,19 +55,19 @@ def _tick_label(value: float) -> str:
 
 
 def _linear_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    span = hi - lo
+    span = hi - lo  # > 0: _Axis pads a zero span
     step = 10.0 ** math.floor(math.log10(span / 5.0))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= 6.0:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
+    # rounding to the step's decimals drops the error the sum builds up,
+    # which would otherwise print 0.9400000000000001 as 9.4e-01
+    digits = max(0, -math.floor(math.log10(step)))
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(t) < 1e-12 * span else t)
+        ticks.append(round(t, digits))
         t += step
     return ticks
 

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from blo import solvers
+from blo import cli, solvers
 from blo.cli import main
 from blo.metrics import TRACE_HEADER
 
@@ -237,6 +238,29 @@ class TestCheckCommand:
         assert str(tmp_path / "train") in out[0]
         assert out[1].startswith("ok   multimin: max relative error ")
 
+
+    def test_wrong_cross_product_fails_and_the_rest_are_checked(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        build = cli.build_problem
+
+        def scaled_cross_product(spec):
+            bed = build(spec)
+            if spec.family != "quadratic":
+                return bed
+            jvp = bed.problem.jvp_xy_ll
+            return dataclasses.replace(bed, problem=dataclasses.replace(
+                bed.problem, jvp_xy_ll=lambda x, y, u: 1.5 * jvp(x, y, u)))
+
+        monkeypatch.setattr(cli, "build_problem", scaled_cross_product)
+        doc = {"runs": [dict(QUAD_RUN, name="scaled"),
+                        {"problem": {"family": "multimin"}, "method": {"name": "bagdc"}}]}
+        assert main(["check", write_config(tmp_path, doc)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "FAIL scaled: derivative check FAILED (tol 0.0001)"
+        entries = {line.split()[0]: line.split()[-1] for line in out[1:-1]}
+        assert entries["jvp_xy_ll"] == "[FAIL]"
+        assert [k for k, flag in entries.items() if flag == "[FAIL]"] == ["jvp_xy_ll"]
+        assert out[-1].startswith("ok   multimin: max relative error ")
 
 class TestReproduceCommand:
     def test_study_smoke(self, tmp_path):

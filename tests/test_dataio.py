@@ -70,6 +70,12 @@ class TestReadIdx:
             read_idx(bad)
 
 
+    def test_truncated_label_header(self, tmp_path):
+        bad = tmp_path / "bad"
+        bad.write_bytes(struct.pack(">I", IDX_LABELS_MAGIC) + bytes(2))
+        with pytest.raises(ParseError, match=r"expected 8 header bytes, found 6"):
+            read_idx(bad)
+
 class TestLoadIdx:
     def test_pairing(self, tmp_path):
         img, lab = tmp_path / "img", tmp_path / "lab"
@@ -93,6 +99,12 @@ class TestLoadIdx:
         write_labels(lab, [0])
         with pytest.raises(ParseError, match="not an image file"):
             load_idx(lab, img)
+
+    def test_images_given_as_labels_rejected(self, tmp_path):
+        img = tmp_path / "img"
+        write_images(img, [np.zeros((2, 2), dtype=np.uint8)])
+        with pytest.raises(ParseError, match="not a label file"):
+            load_idx(img, img)
 
     def test_min_two_classes_even_if_unilabel(self, tmp_path):
         img, lab = tmp_path / "img", tmp_path / "lab"

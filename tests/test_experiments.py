@@ -557,6 +557,19 @@ class TestReproduce:
             payload = json.loads((tmp_path / run["name"] / "summary.json").read_text())
             assert payload["config"] == run
 
+    def test_multimin_study_checks(self, tmp_path):
+        # bagdc and bda reach x = 1; rhg and implicit-ns stall elsewhere, and
+        # implicit-cg meets the singular lower-level Hessian
+        assert reproduce("multimin", tmp_path) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"] == {"bagdc_reaches_solution": True,
+                                     "bda_reaches_solution": True,
+                                     "rhg_stalls_elsewhere": True,
+                                     "implicit_cg_hits_singular_hessian": True,
+                                     "implicit_ns_stalls_elsewhere": True}
+        payload = json.loads((tmp_path / "implicit-cg" / "summary.json").read_text())
+        assert payload["status"] == "singular-hessian"
+
     @pytest.mark.parametrize("study", ["counterexample", "eta-sweep",
                                        "ll-accuracy", "dimension-scaling"])
     def test_golden_study_outputs(self, study, tmp_path):

@@ -102,7 +102,7 @@ class TestCounting:
 class TestFdCheck:
     def test_quadratic_passes(self, quad):
         x, y = rand_xy(2, 2, 11)
-        report = fd_check_gradients(quad.problem, x, y, h=1e-5, tol=1e-4)
+        report = fd_check_gradients(quad.problem, x, y)
         assert report.passed, str(report)
         # includes the optional upper-level products
         assert "hvp_yy_ul" in report.max_rel_error
@@ -110,7 +110,7 @@ class TestFdCheck:
     def test_quadratic_many_points(self, quad):
         for seed in range(10):
             x, y = rand_xy(2, 2, 100 + seed)
-            assert fd_check_gradients(quad.problem, x, y, tol=1e-4).passed
+            assert fd_check_gradients(quad.problem, x, y).passed
 
     def test_flags_negated_gradient(self, quad):
         broken = dataclasses.replace(

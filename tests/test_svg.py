@@ -86,6 +86,36 @@ class TestEmitSvg:
         text, _ = render(tmp_path, [s], AxesSpec(y_scale="log"))
         assert ">1.0e-06<" in text or ">1.0e-03<" in text
 
+    def test_log_axis_without_a_decade_ticks_its_ends(self, tmp_path):
+        s = Series("r", [0.0, 1.0], [2.0, 5.0])
+        text, _ = render(tmp_path, [s], AxesSpec(y_scale="log"))
+        # y ticks are the only <line>s that end at the frame's left edge
+        ys = re.findall(r'<line x1="67.00" y1="([^"]+)" x2="72.00"', text)
+        assert ys == ["424.00", "40.00"]
+
+    def test_linear_tick_labels_carry_no_summation_error(self, tmp_path):
+        s = Series("f1", [0.0, 1.0], [0.93, 0.948])
+        text, _ = render(tmp_path, [s], AxesSpec(y_scale="linear"))
+        labels = re.findall(r'text-anchor="end" font-family="sans-serif" '
+                            r'font-size="11">([^<]+)<', text)
+        assert labels == ["0.93", "0.935", "0.94", "0.945"]
+        assert "e-01" not in text
+
+    def test_nonpositive_x_dropped_on_log_x_axis(self, tmp_path):
+        s = Series("a", [-1.0, 0.0, 1.0, 10.0], [1.0, 2.0, 3.0, 4.0])
+        text, warnings = render(tmp_path, [s], AxesSpec(x_scale="log", y_scale="linear"))
+        assert warnings == ["series 'a': dropped 2 point(s) "
+                            "not representable on the chosen scales"]
+        (poly,) = re.findall(r'<polyline points="([^"]+)"', text)
+        assert len(poly.split()) == 2
+
+    def test_nothing_plottable_on_log_x_axis(self, tmp_path):
+        s = Series("bad", [0.0, -1.0], [1.0, 2.0])
+        text, warnings = render(tmp_path, [s], AxesSpec(x_scale="log"))
+        assert "series 'bad': no plottable points" in warnings
+        assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
+        assert "<polyline" not in text
+
     def test_degenerate_range_handled(self, tmp_path):
         # constant series must not divide by a zero span
         text, warnings = render(tmp_path,
