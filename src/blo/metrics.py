@@ -5,9 +5,9 @@ constrained reformulation
 
     min F(x, y)  s.t.  grad_y f(x, y) = 0
 
-with Lagrangian L = F - <v, grad_y f>.  The residual is always taken
-with respect to the original lower-level objective f, regardless of any
-aggregated surrogate a solver iterates on.
+with Lagrangian L = F - <v, grad_y f>.  A trace row's residual is always
+taken with respect to the original lower-level objective f, regardless
+of any aggregated surrogate a solver iterates on.
 """
 
 from __future__ import annotations
@@ -22,23 +22,15 @@ from .linalg import Array, Matvec, _row_dots, cg_solve, cg_solve_rows, gaussian_
 from .problem import BilevelProblem, _trail_cache, psi_product, psi_weights
 
 
-def _kkt(p: BilevelProblem, w: tuple[float, float] | None, x: Array, y: Array,
-         v: Array) -> float:
+def kkt_residual(problem: BilevelProblem, x: Array, y: Array, v: Array,
+                 mu: float = 0.0, lam: float = 1.0) -> float:
+    """Squared norm of the Lagrangian gradient at (x, y, v); with mu > 0, of
+    the Lagrangian with f replaced by psi_mu (a diagnostic only)."""
+    p, w = problem, psi_weights(problem, mu, lam)
     rx = p.grad_x_ul(x, y) - psi_product(w, p.jvp_xy_ul, p.jvp_xy_ll, x, y, v)
     ry = p.grad_y_ul(x, y) - psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y, v)
     rf = psi_product(w, p.grad_y_ul, p.grad_y_ll, x, y)
     return float(rx.dot(rx) + ry.dot(ry) + rf.dot(rf))
-
-
-def kkt_residual(problem: BilevelProblem, x: Array, y: Array, v: Array) -> float:
-    """Squared norm of the Lagrangian gradient at (x, y, v)."""
-    return _kkt(problem, None, x, y, v)
-
-
-def kkt_residual_aggregated(problem: BilevelProblem, x: Array, y: Array,
-                            v: Array, mu: float, lam: float) -> float:
-    """Same residual with f replaced by psi_mu; diagnostic only."""
-    return _kkt(problem, psi_weights(problem, mu, lam), x, y, v)
 
 
 def hypergrad_error(d: Array, oracle: AnalyticOracle, x: Array) -> Array:

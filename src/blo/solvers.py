@@ -8,11 +8,11 @@ aggregated lower level psi_mu = mu*lam*F + (1-mu)*f with a vanishing
 mu_k schedule; with a strongly convex lower level mu = 0 and all steps
 are constant.
 
-The baselines share the oracle surface: NOSA (one-step alternating
-scheme, no multiplier state), reverse-mode unrolling (RHG), implicit
-differentiation with CG or truncated Neumann inverses, and BDA (RHG over
-the aggregated lower level).  Hypergradient methods are driven by plain
-upper gradient steps with warm-started y.
+The baselines share the oracle surface: NOSA (the BAGDC step with a
+multiplier that is not kept from step to step), reverse-mode unrolling
+(RHG), implicit differentiation with CG or truncated Neumann inverses,
+and BDA (RHG over the aggregated lower level).  Hypergradient methods
+are driven by plain upper gradient steps with warm-started y.
 
 Every step calls the base problem directly, blends psi_mu products with
 ``psi_product``, and reports its ``Counts`` (gradients, HVPs, JVPs) from
@@ -35,8 +35,7 @@ from .errors import (CapabilityError, DivergenceError, FieldError,
                      NonPositiveCurvatureError, SingularHessianError)
 from .linalg import (Array, Matvec, _norm, cg_solve, ensure_finite, neumann_apply,
                      power_iteration_lmax)
-from .metrics import (AnalyticOracle, TraceRecord, _lyapunov, kkt_residual,
-                      kkt_residual_aggregated)
+from .metrics import AnalyticOracle, TraceRecord, _lyapunov, kkt_residual
 from .problem import BilevelProblem, Counts, psi_product, psi_weights
 
 # Degeneracy guard for the adaptive eta Rayleigh quotient.
@@ -128,7 +127,7 @@ class StepInfo:
 
 def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
                alpha: float, beta: float, eta: float, lam: float = 1.0,
-               adaptive: bool = False) -> tuple[SolverState, StepInfo]:
+               adaptive: bool = False, warm: bool = True) -> tuple[SolverState, StepInfo]:
     """One alternating sweep on the (possibly aggregated) problem.
 
         y+ = y - beta * grad_y psi(x, y)
@@ -138,51 +137,51 @@ def bagdc_step(state: SolverState, problem: BilevelProblem, mu: float,
     Note the cross product is taken at the *pre-update* y.  Exactly one
     HVP and one JVP per call (one extra HVP under the adaptive eta rule,
     which replaces eta by <r,r>/<r,Hr> for the residual r, falling back
-    to the supplied eta when the quotient degenerates).  Counts are taken
-    at the psi surface: one psi product is one product.  A non-finite
-    iterate raises DivergenceError naming the first of y, v, x that broke.
+    to the supplied eta when the quotient degenerates).  With ``warm``
+    off (NOSA), v starts at 0 each step, so v+ = eta * grad_y F(x, y+)
+    takes no HVP and no adaptive rule; the state keeps the v it came
+    with, and StepInfo.eta is None.  Counts are taken at the psi
+    surface: one psi product is one product.  A non-finite iterate
+    raises DivergenceError naming the first of y, v, x that broke.
     """
     w = psi_weights(problem, mu, lam)
     p = problem
     x, y, v = state.x, state.y, state.v
     y1 = y - beta * psi_product(w, p.grad_y_ul, p.grad_y_ll, x, y)
-    r = p.grad_y_ul(x, y1) - psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, v)
-    hvps = 1
-    eta_k = eta
-    if adaptive:
-        rr = float(r @ r)
-        if rr > 0.0:
-            hvps = 2
-            rhr = float(r @ psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, r))
-            if rhr > _ETA_CURV_FLOOR * rr:
-                eta_k = rr / rhr
-    v1 = v + eta_k * r
+    r = p.grad_y_ul(x, y1)
+    hvps, eta_k = 0, None
+    if warm:
+        r = r - psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, v)
+        hvps, eta_k = 1, eta
+        if adaptive:
+            rr = float(r @ r)
+            if rr > 0.0:
+                hvps = 2
+                rhr = float(r @ psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, y1, r))
+                if rhr > _ETA_CURV_FLOOR * rr:
+                    eta_k = rr / rhr
+        v1 = v = v + eta_k * r
+    else:
+        v1 = eta * r  # for d only; the state keeps the v it came with
     d = p.grad_x_ul(x, y1) - psi_product(w, p.jvp_xy_ul, p.jvp_xy_ll, x, y, v1)
     x1 = x - alpha * d
     # one check for all three; a finite sum that overflows passes below
-    if not math.isfinite(float(y1.dot(y1)) + float(v1.dot(v1)) + float(x1.dot(x1))):
+    if not math.isfinite(float(y1.dot(y1)) + float(v.dot(v)) + float(x1.dot(x1))):
         ensure_finite(y1, "iterate y became non-finite")
-        ensure_finite(v1, "iterate v became non-finite")
+        ensure_finite(v, "iterate v became non-finite")
         ensure_finite(x1, "iterate x became non-finite")
-    return SolverState(x1, y1, v1), StepInfo(d, Counts(3, hvps, 1), eta_k)
+    return SolverState(x1, y1, v), StepInfo(d, Counts(3, hvps, 1), eta_k)
 
 
 def nosa_step(state: SolverState, problem: BilevelProblem, alpha: float,
               beta: float) -> tuple[SolverState, StepInfo]:
-    """One-step alternating scheme; no multiplier state is maintained.
+    """One-step alternating scheme: ``bagdc_step`` with no multiplier kept
+    from step to step (``warm`` off) and eta = beta, so
 
         y+ = y - beta * grad_y f(x, y)
-        x+ = x - alpha * (grad_x F(x, y+) - beta * [J_xy f(x, y)] grad_y F(x, y+))
+        x+ = x - alpha * (grad_x F(x, y+) - [J_xy f(x, y)] (beta * grad_y F(x, y+)))
     """
-    p = problem
-    x, y = state.x, state.y
-    y1 = y - beta * p.grad_y_ll(x, y)
-    ensure_finite(y1, "iterate y became non-finite")
-    g_up = p.grad_y_ul(x, y1)
-    d = p.grad_x_ul(x, y1) - beta * p.jvp_xy_ll(x, y, g_up)
-    x1 = x - alpha * d
-    ensure_finite(x1, "iterate x became non-finite")
-    return SolverState(x1, y1, state.v), StepInfo(d, Counts(3, 0, 1))
+    return bagdc_step(state, problem, 0.0, alpha, beta, beta, warm=False)
 
 
 @dataclass(frozen=True)
@@ -193,10 +192,22 @@ class HypergradientResult:
     multiplier: Array | None = None
 
 
-def _unroll(problem: BilevelProblem, w: tuple[float, float] | None, x: Array,
-            y0: Array, T: int, beta: float) -> HypergradientResult:
-    """Reverse-mode unrolling of T gradient steps on psi with weights ``w``
-    (f itself when None); the body of ``rhg_hypergradient``."""
+def rhg_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
+                      beta: float, mu: float = 0.0, lam: float = 1.0
+                      ) -> HypergradientResult:
+    """Reverse-mode differentiation through T lower gradient steps on psi_mu
+    (f itself at mu = 0).
+
+    Forward stores the trajectory; the reverse pass accumulates
+
+        a <- grad_y F(x, y_T),  d <- grad_x F(x, y_T)
+        for t = T-1 .. 0:
+            d <- d - beta * [J_xy psi(x, y_t)] a
+            a <- a - beta * [H_yy psi(x, y_t)] a
+
+    Cost: T gradients forward, T HVPs + T JVPs in reverse.
+    """
+    w = psi_weights(problem, mu, lam)
     p = problem
     ys = [np.asarray(y0, dtype=float)]
     for _ in range(T):
@@ -210,22 +221,6 @@ def _unroll(problem: BilevelProblem, w: tuple[float, float] | None, x: Array,
         a = a - beta * psi_product(w, p.hvp_yy_ul, p.hvp_yy_ll, x, ys[t], a)
     ensure_finite(d, "iterate d became non-finite")
     return HypergradientResult(d, ys[T], Counts(T + 2, T, T))
-
-
-def rhg_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
-                      beta: float) -> HypergradientResult:
-    """Reverse-mode differentiation through T lower gradient steps.
-
-    Forward stores the trajectory; the reverse pass accumulates
-
-        a <- grad_y F(x, y_T),  d <- grad_x F(x, y_T)
-        for t = T-1 .. 0:
-            d <- d - beta * [J_xy f(x, y_t)] a
-            a <- a - beta * [H_yy f(x, y_t)] a
-
-    Cost: T gradients forward, T HVPs + T JVPs in reverse.
-    """
-    return _unroll(problem, None, x, y0, T, beta)
 
 
 def _implicit(problem: BilevelProblem, x: Array, y0: Array, T: int, beta: float,
@@ -279,16 +274,13 @@ def implicit_ns_hypergradient(problem: BilevelProblem, x: Array, y0: Array,
 
 def bda_hypergradient(problem: BilevelProblem, x: Array, y0: Array, T: int,
                       mu: float, lam: float, beta: float) -> HypergradientResult:
-    """Reverse-mode unrolling over the aggregated lower level psi_mu.
+    """BDA: ``rhg_hypergradient`` over the aggregated lower level psi_mu.
 
-    The ``rhg_hypergradient`` loop with every f gradient and product
-    replaced by its ``psi_product`` blend of the base problem's calls;
-    mu = 0 is plain RHG.  Whether mu > 0 has the upper curvature it
-    needs is checked (``psi_weights``) before any oracle call.  Cost:
-    (T + 2, T, T) at the psi surface, so with mu > 0 each counted
+    Whether mu > 0 has the upper curvature it needs is checked
+    (``psi_weights``) before any oracle call.  With mu > 0 each counted
     product is one ``*_ul`` and one ``*_ll`` call.
     """
-    return _unroll(problem, psi_weights(problem, mu, lam), x, y0, T, beta)
+    return rhg_hypergradient(problem, x, y0, T, beta, mu, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +519,6 @@ def run_solver(problem: BilevelProblem, method: MethodSpec, schedule: ScheduleCo
     if (status in _OK_STATUSES and entry.aggregated_kkt
             and cfg.mode == "merely-convex" and problem.has_ul_curvature and k > 0):
         mu_last = schedule_at(cfg, k - 1)[0]
-        final["kkt_residual_aggregated"] = kkt_residual_aggregated(
+        final["kkt_residual_aggregated"] = kkt_residual(
             problem, state.x, state.y, state.v, mu_last, cfg.lam)
     return state, RunSummary(status, k, seconds, totals, sched_info, final, error, error_at)

@@ -2,10 +2,12 @@
 
 ``aggregate`` builds the psi_mu problem as a whole, and
 ``counting_problem`` counts the calls made on a problem.  The lean steps,
-the unrolling baselines and ``kkt_residual_aggregated`` must match
+the unrolling baselines and ``kkt_residual`` at mu > 0 must match
 ``aggregate`` bit for bit, and the counts they report must match what
 ``counting_problem`` sees.  A trace row's ``lyapunov`` cell must match
-``lyapunov_value`` bit for bit.
+``lyapunov_value`` bit for bit.  ``nosa_step`` is the one-step
+alternating scheme written out on its own, which the library's
+``nosa_step`` (``bagdc_step`` with ``warm`` off) must match.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from blo.linalg import Array, Matvec
+from blo.linalg import Array, Matvec, ensure_finite
 from blo.metrics import AnalyticOracle
 from blo.problem import BilevelProblem, Counts, psi_weights
+from blo.solvers import SolverState, StepInfo
 
 
 def aggregate(base: BilevelProblem, mu: float, lam: float) -> BilevelProblem:
@@ -69,6 +72,24 @@ def lyapunov_value(problem: BilevelProblem, oracle: AnalyticOracle,
     dy = y - ys
     dv = v - oracle.v_star_mu(x, mu, lam)
     return float(problem.ul_value(x, ys) + 0.5 * dy.dot(dy) + 0.5 * dv.dot(dv))
+
+
+def nosa_step(state: SolverState, problem: BilevelProblem, alpha: float,
+              beta: float) -> tuple[SolverState, StepInfo]:
+    """One-step alternating scheme; no multiplier state is maintained.
+
+        y+ = y - beta * grad_y f(x, y)
+        x+ = x - alpha * (grad_x F(x, y+) - beta * [J_xy f(x, y)] grad_y F(x, y+))
+    """
+    p = problem
+    x, y = state.x, state.y
+    y1 = y - beta * p.grad_y_ll(x, y)
+    ensure_finite(y1, "iterate y became non-finite")
+    g_up = p.grad_y_ul(x, y1)
+    d = p.grad_x_ul(x, y1) - beta * p.jvp_xy_ll(x, y, g_up)
+    x1 = x - alpha * d
+    ensure_finite(x1, "iterate x became non-finite")
+    return SolverState(x1, y1, state.v), StepInfo(d, Counts(3, 0, 1))
 
 
 def a_operator(bed) -> Matvec:

@@ -262,6 +262,26 @@ class TestCheckCommand:
         assert [k for k, flag in entries.items() if flag == "[FAIL]"] == ["jvp_xy_ll"]
         assert out[-1].startswith("ok   multimin: max relative error ")
 
+    @pytest.mark.parametrize("kind", ["hvp_yy_ll", "jvp_xy_ll"])
+    def test_nan_curvature_product_fails(self, tmp_path, capsys, monkeypatch, kind):
+        # the worst error over the probe directions is nan, not the finite ones
+        build = cli.build_problem
+
+        def nan_product(spec):
+            bed = build(spec)
+            product = getattr(bed.problem, kind)
+            return dataclasses.replace(bed, problem=dataclasses.replace(
+                bed.problem, **{kind: lambda x, y, u: np.nan * product(x, y, u)}))
+
+        monkeypatch.setattr(cli, "build_problem", nan_product)
+        assert main(["check", write_config(tmp_path, dict(QUAD_RUN, name="nan"))]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "FAIL nan: derivative check FAILED (tol 0.0001)"
+        entries = {line.split()[0]: line.split()[-2:] for line in out[1:]}
+        assert entries[kind] == ["nan", "[FAIL]"]
+        assert [k for k, (_, flag) in entries.items() if flag == "[FAIL]"] == [kind]
+
+
 class TestReproduceCommand:
     def test_study_smoke(self, tmp_path):
         out = tmp_path / "study"

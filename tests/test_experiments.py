@@ -516,6 +516,10 @@ GOLDEN_STUDY_DIGESTS = {
         "3f9dedfc0ccfd7074e2614edc779bd6758fe3f18e6b9f36297a4bcf375abe0d7",
     "dimension-scaling":
         "1cd9e4d205b5685dcd9209938412c15b2b6d30b41e7eb13b023864296508474f",
+    # asserted by test_multimin_study_checks on the run it makes; recorded before
+    # bda became rhg on psi_mu and the aggregated residual kkt_residual at mu
+    "multimin":
+        "effd32af83b4c76d53bb3b306fd1c365db75e99e32ff9ca5502a4ec3a24cdf3f",
 }
 
 
@@ -569,6 +573,8 @@ class TestReproduce:
                                      "implicit_ns_stalls_elsewhere": True}
         payload = json.loads((tmp_path / "implicit-cg" / "summary.json").read_text())
         assert payload["status"] == "singular-hessian"
+        # the only study that runs bda and reports kkt_residual_aggregated
+        assert masked_study_digest(tmp_path) == GOLDEN_STUDY_DIGESTS["multimin"]
 
     @pytest.mark.parametrize("study", ["counterexample", "eta-sweep",
                                        "ll-accuracy", "dimension-scaling"])

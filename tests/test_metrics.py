@@ -9,7 +9,7 @@ import blo.metrics
 from blo.errors import DivergenceError, NonPositiveCurvatureError
 from blo.linalg import cg_solve
 from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, TraceRecord, hypergrad_error,
-                         kkt_residual, kkt_residual_aggregated, quadratic_oracle)
+                         kkt_residual, quadratic_oracle)
 from blo.problem import Counts
 from blo.solvers import (MethodSpec, ScheduleConfig, SolverState, StopRule,
                          _make_record, rhg_hypergradient, run_solver)
@@ -77,7 +77,7 @@ class TestKktResidual:
             # grad phi_mu = (x - z0) + c^2 A^-1 x = grad phi - (1 - c^2) y*(x)
             c = (1.0 - mu) / (mu * lam + 1.0 - mu)
             g = orc.grad_phi(x) - (1.0 - c * c) * orc.y_star_mu(x, 0.0, 1.0)
-            got = kkt_residual_aggregated(p, x, ys, vs, mu, lam)
+            got = kkt_residual(p, x, ys, vs, mu, lam)
             assert got == pytest.approx(float(g @ g), rel=1e-7, abs=1e-10)
 
 

@@ -10,7 +10,7 @@ from blo import solvers
 from blo.errors import (CapabilityError, DivergenceError, NonPositiveCurvatureError,
                         SingularHessianError)
 from blo.linalg import cg_solve, ensure_finite
-from blo.metrics import kkt_residual, kkt_residual_aggregated
+from blo.metrics import kkt_residual
 from blo.problem import BilevelProblem, Counts
 from blo.solvers import (METHOD_NAMES, MethodSpec, RunSummary, ScheduleConfig,
                          SolverState, StopRule, bagdc_step,
@@ -20,6 +20,7 @@ from blo.solvers import (METHOD_NAMES, MethodSpec, RunSummary, ScheduleConfig,
 from blo.testbeds import (corrupt_labels, hypercleaning_problem, make_multimin,
                           make_quadratic, split_dataset, synth_blobs)
 
+import reference
 from reference import a_operator, aggregate, counting_problem
 
 
@@ -407,7 +408,7 @@ class TestReportedCounts:
 
 
 class TestPsiBlendReference:
-    """``bda`` and ``kkt_residual_aggregated`` blend the base products
+    """``bda`` and ``kkt_residual`` at mu > 0 blend the base products
     exactly as the ``aggregate``d problem evaluates them."""
 
     @settings(max_examples=60, deadline=None)
@@ -438,7 +439,7 @@ class TestPsiBlendReference:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(problem.n)
         y, v = rng.standard_normal(problem.m), rng.standard_normal(problem.m)
-        assert (kkt_residual_aggregated(problem, x, y, v, mu, lam)
+        assert (kkt_residual(problem, x, y, v, mu, lam)
                 == kkt_residual(aggregate(problem, mu, lam), x, y, v))
 
     # the weights' ranges are MethodSpec's (tests/test_config.py UNWORKABLE)
@@ -599,6 +600,49 @@ class TestNosa:
         _, info = nosa_step(state, quad.problem, 0.1, 0.4)
         res = implicit_ns_hypergradient(quad.problem, x, y, T=1, beta=0.4, M=0)
         np.testing.assert_array_equal(info.d, res.d)
+
+
+class TestNosaIsColdBagdc:
+    """``nosa_step`` is ``bagdc_step`` with ``warm`` off; a run of it matches
+    the scheme written out on its own (``reference.nosa_step``)."""
+
+    @staticmethod
+    def run(problem, alpha):
+        rows, steps = [], []
+        _, summary = run_solver(problem, MethodSpec("nosa"),
+                                ScheduleConfig(alpha=alpha, beta=0.3, eta=0.7),
+                                StopRule(max_iters=200), sink=rows.append,
+                                probe=lambda k, s, before, after, d: steps.append((after, d)))
+        assert summary.status == "max-iters" and len(steps) == 200
+        return summary.counts, rows, steps
+
+    @pytest.mark.parametrize("testbed, alpha", [("quadratic", 0.1), ("multimin", 0.5)])
+    def test_bitwise_equal_to_the_scheme_written_out(self, monkeypatch, testbed, alpha):
+        counts, rows, steps = self.run(_TESTBEDS[testbed], alpha)
+        monkeypatch.setattr(solvers, "nosa_step", reference.nosa_step)
+        ref_counts, ref_rows, ref_steps = self.run(_TESTBEDS[testbed], alpha)
+        for (s1, d1), (s2, d2) in zip(steps, ref_steps):
+            for a, b in ((s1.x, s2.x), (s1.y, s2.y), (s1.v, s2.v), (d1, d2)):
+                np.testing.assert_array_equal(a, b)
+        assert counts == ref_counts == Counts(600, 0, 200)
+        # the trace's eta is the schedule's, not the beta nosa uses in its place
+        cells = [(r.eta, r.hvp_count, r.jvp_count) for r in rows]
+        assert cells == [(r.eta, r.hvp_count, r.jvp_count) for r in ref_rows]
+        assert {eta for eta, _, _ in cells} == {0.7}
+
+    def test_hypercleaning_within_rounding(self, monkeypatch):
+        # the step scales the cross product's input by beta where the scheme
+        # scales its output, and here that product is a GEMM
+        pool = synth_blobs(3, 4, 12, 3.0, seed=5)
+        train, val = split_dataset(pool, 24, seed=6)
+        problem = hypercleaning_problem(corrupt_labels(train, 0.3, seed=7), val).problem
+        counts, _, steps = self.run(problem, 1.0)
+        monkeypatch.setattr(solvers, "nosa_step", reference.nosa_step)
+        ref_counts, _, ref_steps = self.run(problem, 1.0)
+        for (s1, _), (s2, _) in zip(steps, ref_steps):
+            assert np.linalg.norm(s1.x - s2.x) <= 1e-13 * np.linalg.norm(s2.x)
+        assert not np.array_equal(steps[-1][0].x, steps[0][0].x)
+        assert counts == ref_counts
 
 
 class TestRhg:

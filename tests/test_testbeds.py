@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 from types import SimpleNamespace
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blo import testbeds
+from blo.config import parse_config
+from blo.experiments import build_problem
 from blo.linalg import power_iteration_lmax
 from blo.problem import fd_check_gradients
 from blo.solvers import MethodSpec, ScheduleConfig, StopRule, run_solver
@@ -59,6 +62,25 @@ class TestQuadratic:
         # grad_x F(0, y) = -z0
         np.testing.assert_array_equal(qb.problem.grad_x_ul(np.zeros(2), np.zeros(2)),
                                       [-2.0, 1.0])
+
+    def test_random_z0_is_seeded_and_solved_for(self):
+        def built(seed):  # through the config, as a run builds it
+            doc = {"problem": {"family": "quadratic", "n": 8, "spectrum": [0.5, 5.0],
+                               "z0": "random", "seed": seed}, "method": {"name": "bagdc"}}
+            return build_problem(parse_config(json.dumps(doc))[0].problem)
+
+        def z0_of(qb):  # grad_x F(0, y) = -z0
+            return -qb.problem.grad_x_ul(np.zeros(8), np.zeros(8))
+
+        a, b, c = built(3), built(3), built(4)
+        np.testing.assert_array_equal(z0_of(a), z0_of(b))
+        assert not np.array_equal(z0_of(a), z0_of(c))
+        assert np.all(z0_of(a) != 1.0)
+        # (A + I) x* = A z0
+        apply_a = a_operator(a)
+        xs = a.oracle.x_star
+        residual = apply_a(xs) + xs - apply_a(z0_of(a))
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(apply_a(z0_of(a)))
 
 
 class TestMultiMinimizer:
