@@ -2,8 +2,8 @@
 
 Hand-emitted so study figures carry no plotting dependency and are
 byte-identical across runs: fixed canvas, fixed palette, coordinates
-rounded to two decimals.  Log axes drop nonpositive points and report
-each drop as a warning string.
+rounded to two decimals.  A point that is not finite on either axis, or
+nonpositive on a log axis, is dropped and reported in a warning string.
 """
 
 from __future__ import annotations
@@ -88,68 +88,71 @@ def _escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str) -> str:
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x: str, y: str, body: str, size: int, anchor: str | None = "middle",
+          extra: str = "") -> str:
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor_attr} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{_escape(body)}</text>')
+
+
 class _Axis:
-    def __init__(self, scale: str, lo: float, hi: float, px_lo: float, px_hi: float):
-        self.scale = scale
-        if scale == "log":
-            self.lo, self.hi = math.log10(lo), math.log10(hi)
-        else:
-            self.lo, self.hi = lo, hi
-        if self.hi <= self.lo:
-            pad = 0.5 if self.lo == 0 else abs(self.lo) * 0.1 + 1e-12
-            self.lo -= pad
-            self.hi += pad
+    def __init__(self, log: bool, values: list[float], px_lo: float, px_hi: float):
+        self.log = log
+        lo, hi = min(values), max(values)
+        if log:
+            lo, hi = math.log10(lo), math.log10(hi)
+        if hi <= lo:
+            pad = 0.5 if lo == 0 else abs(lo) * 0.1 + 1e-12
+            lo -= pad
+            hi += pad
+        self.lo, self.hi = lo, hi
         self.px_lo, self.px_hi = px_lo, px_hi
+        # the padded range in data units; made here, so it overflows before any tick rule
+        self.ends = (10.0 ** lo, 10.0 ** hi) if log else (lo, hi)
 
     def to_px(self, value: float) -> float:
-        t = (math.log10(value) if self.scale == "log" else value)
+        t = math.log10(value) if self.log else value
         frac = (t - self.lo) / (self.hi - self.lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
-    def data_range(self) -> tuple[float, float]:
-        if self.scale == "log":
-            return 10.0 ** self.lo, 10.0 ** self.hi
-        return self.lo, self.hi
+    def ticks(self) -> list[float]:
+        return (_log_ticks if self.log else _linear_ticks)(*self.ends)
 
 
 def emit_svg(series: Sequence[Series], axes: AxesSpec, path: str) -> list[str]:
     """Write a line plot to ``path``; returns warning strings (may be empty)."""
+    x_log, y_log = axes.x_scale == "log", axes.y_scale == "log"
+
+    def plottable(x: float, y: float) -> bool:
+        return (math.isfinite(x) and math.isfinite(y)
+                and (not x_log or x > 0) and (not y_log or y > 0))
+
     warnings: list[str] = []
-    cleaned: list[tuple[str, list[float], list[float]]] = []
+    cleaned: list[tuple[str, list[tuple[float, float]], str]] = []  # label, points, colour
     for s in series:
         if len(s.xs) != len(s.ys):
             raise ValueError(f"series {s.label!r}: xs and ys lengths differ")
-        xs, ys = [], []
-        dropped = 0
-        for x, y in zip(s.xs, s.ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                dropped += 1
-                continue
-            if axes.x_scale == "log" and x <= 0:
-                dropped += 1
-                continue
-            if axes.y_scale == "log" and y <= 0:
-                dropped += 1
-                continue
-            xs.append(float(x))
-            ys.append(float(y))
+        points = [(float(x), float(y)) for x, y in zip(s.xs, s.ys) if plottable(x, y)]
+        dropped = len(s.xs) - len(points)
         if dropped:
             warnings.append(f"series {s.label!r}: dropped {dropped} point(s) "
                             f"not representable on the chosen scales")
-        if xs:
-            cleaned.append((s.label, xs, ys))
+        if points:
+            cleaned.append((s.label, points, PALETTE[len(cleaned) % len(PALETTE)]))
         else:
             warnings.append(f"series {s.label!r}: no plottable points")
 
-    all_x = [x for _, xs, _ in cleaned for x in xs]
-    all_y = [y for _, _, ys in cleaned for y in ys]
-    if not all_x:
-        all_x, all_y = [0.0, 1.0], [0.1, 1.0]
-        if axes.x_scale == "log":
-            all_x = [0.1, 1.0]
-
-    x_axis = _Axis(axes.x_scale, min(all_x), max(all_x), MARGIN_L, WIDTH - MARGIN_R)
-    y_axis = _Axis(axes.y_scale, min(all_y), max(all_y), HEIGHT - MARGIN_B, MARGIN_T)
+    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
+    y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
+    all_x = [x for _, points, _ in cleaned for x, _ in points] or [0.1 if x_log else 0.0, 1.0]
+    all_y = [y for _, points, _ in cleaned for _, y in points] or [0.1, 1.0]
+    x_axis = _Axis(x_log, all_x, x0, x1)
+    y_axis = _Axis(y_log, all_y, y0, y1)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
@@ -157,61 +160,35 @@ def emit_svg(series: Sequence[Series], axes: AxesSpec, path: str) -> list[str]:
         f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>',
     ]
     if axes.title:
-        parts.append(f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="16">{_escape(axes.title)}</text>')
-
-    # frame
-    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
-    y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
+        parts.append(_text(f"{WIDTH / 2:.0f}", "24", axes.title, 16))
     parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y1)}" width="{_fmt(x1 - x0)}" '
                  f'height="{_fmt(y0 - y1)}" fill="none" stroke="black" stroke-width="1"/>')
 
-    xlo, xhi = x_axis.data_range()
-    ylo, yhi = y_axis.data_range()
-    x_ticks = _log_ticks(xlo, xhi) if axes.x_scale == "log" else _linear_ticks(xlo, xhi)
-    y_ticks = _log_ticks(ylo, yhi) if axes.y_scale == "log" else _linear_ticks(ylo, yhi)
-    for t in x_ticks:
+    for t in x_axis.ticks():
         px = x_axis.to_px(t)
-        parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" '
-                     f'y2="{_fmt(y0 + 5)}" stroke="black" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(px)}" y="{_fmt(y0 + 20)}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11">{_escape(_tick_label(t))}</text>')
-    for t in y_ticks:
+        parts.append(_line(px, y0, px, y0 + 5, "black", "1"))
+        parts.append(_text(_fmt(px), _fmt(y0 + 20), _tick_label(t), 11))
+    for t in y_axis.ticks():
         py = y_axis.to_px(t)
-        parts.append(f'<line x1="{_fmt(x0 - 5)}" y1="{_fmt(py)}" x2="{_fmt(x0)}" '
-                     f'y2="{_fmt(py)}" stroke="black" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(x0 - 8)}" y="{_fmt(py + 4)}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{_escape(_tick_label(t))}</text>')
-        parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" '
-                     f'y2="{_fmt(py)}" stroke="#dddddd" stroke-width="0.5"/>')
+        parts.append(_line(x0 - 5, py, x0, py, "black", "1"))
+        parts.append(_text(_fmt(x0 - 8), _fmt(py + 4), _tick_label(t), 11, "end"))
+        parts.append(_line(x0, py, x1, py, "#dddddd", "0.5"))
 
     if axes.x_label:
-        parts.append(f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(HEIGHT - 14)}" '
-                     f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-                     f'{_escape(axes.x_label)}</text>')
+        parts.append(_text(_fmt((x0 + x1) / 2), _fmt(HEIGHT - 14), axes.x_label, 13))
     if axes.y_label:
-        cx, cy = 18.0, (y0 + y1) / 2
-        parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13" '
-                     f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">'
-                     f'{_escape(axes.y_label)}</text>')
+        cx, cy = _fmt(18.0), _fmt((y0 + y1) / 2)
+        parts.append(_text(cx, cy, axes.y_label, 13,
+                           extra=f' transform="rotate(-90 {cx} {cy})"'))
 
-    for i, (label, xs, ys) in enumerate(cleaned):
-        color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(x_axis.to_px(x))},{_fmt(y_axis.to_px(y))}"
-                       for x, y in zip(xs, ys))
+    for _, points, color in cleaned:
+        pts = " ".join(f"{_fmt(x_axis.to_px(x))},{_fmt(y_axis.to_px(y))}" for x, y in points)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
-
-    # legend, top right inside the frame
-    for i, (label, _, _) in enumerate(cleaned):
-        color = PALETTE[i % len(PALETTE)]
+    for i, (label, _, color) in enumerate(cleaned):  # legend, top right inside the frame
         ly = y1 + 16 + 18 * i
-        parts.append(f'<line x1="{_fmt(x1 - 150)}" y1="{_fmt(ly)}" x2="{_fmt(x1 - 120)}" '
-                     f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_fmt(x1 - 114)}" y="{_fmt(ly + 4)}" '
-                     f'font-family="sans-serif" font-size="12">{_escape(label)}</text>')
-
+        parts.append(_line(x1 - 150, ly, x1 - 120, ly, color, "2"))
+        parts.append(_text(_fmt(x1 - 114), _fmt(ly + 4), label, 12, None))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

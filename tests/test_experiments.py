@@ -551,6 +551,22 @@ class TestReproduce:
             payload = json.loads((run_dir / "summary.json").read_text())
             assert payload["status"] in ("converged", "max-iters")
 
+    def test_figures_go_through_the_module_attribute_with_a_positional_path(
+            self, tmp_path, monkeypatch):
+        # perfbench patches blo.svgplot.emit_svg and reads svg.bytes from args[2]
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return []
+
+        monkeypatch.setattr(blo.svgplot, "emit_svg", spy)
+        assert reproduce("counterexample", tmp_path) == 0
+        assert len(calls) == 1
+        args, kwargs = calls[0]
+        assert kwargs == {} and len(args) == 3
+        assert str(args[2]).endswith("fig_dist_x.svg")
+
     def test_dimension_scaling_config_matches_runs(self, tmp_path):
         assert reproduce("dimension-scaling", tmp_path) == 0
         config = json.loads((tmp_path / "config.json").read_text())

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -127,3 +128,47 @@ class TestEmitSvg:
     def test_axes_scale_validated(self):
         with pytest.raises(ValueError):
             AxesSpec(y_scale="cubic")
+
+
+def golden_figure():
+    """Nine plotted series, so the palette wraps, and every drop rule.
+
+    Series "mixed" holds a nan, an inf and a point that is non-positive on
+    both axes; series "void" has no point that any scale can plot.
+    """
+    xs = [float(k + 1) for k in range(40)]
+    series = [Series(f"s{i} <&>", xs, [(i + 1) * 10.0 ** (-k / 8.0) for k in range(40)])
+              for i in range(8)]
+    series.append(Series("mixed", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                         [-1.0, 2.0, math.nan, 3.0, math.inf, 0.5]))
+    series.append(Series("void", [1.0, math.nan, 2.0], [math.nan, 1.0, -math.inf]))
+    return series
+
+
+# recorded before emit_svg's rewrite; a figure must keep every byte
+GOLDEN_SVG = {
+    ("linear", "linear"):
+        "892b991a4366c800648ea96df1891c04e929e907ab4e486383dcd3f897fc20eb",
+    ("linear", "log"):
+        "481d2ef4ffe6ac469f1dcadc13eec1fcaead8b2a21027d00c3e1fc9acb228575",
+    ("log", "linear"):
+        "611d2900dd3cd5d95484c4d15585533d75d060cf7be3283b7780ff7a9399d255",
+    ("log", "log"):
+        "e7cdf86603f17f925b7bcde18c52bb0022f3c976c0b29d8caec21a30622840a8",
+}
+
+
+@pytest.mark.parametrize("scales", sorted(GOLDEN_SVG))
+def test_golden_svg_bytes(tmp_path, scales):
+    x_scale, y_scale = scales
+    axes = AxesSpec(x_label="k & <iter>", y_label="r < 1 & r > 0",
+                    x_scale=x_scale, y_scale=y_scale, title="decay <&> drops")
+    path = tmp_path / "golden.svg"
+    warnings = emit_svg(golden_figure(), axes, str(path))
+    mixed_drops = 3 if "log" in scales else 2
+    assert warnings == [
+        f"series 'mixed': dropped {mixed_drops} point(s) not representable on the chosen scales",
+        "series 'void': dropped 3 point(s) not representable on the chosen scales",
+        "series 'void': no plottable points",
+    ]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SVG[scales]
