@@ -1,12 +1,14 @@
 """Loaders for the two supported dataset exchange formats.
 
-IDX is the big-endian binary layout used by the classic digit corpora:
-magic 0x00000803 for image tensors (count, rows, cols, then raw bytes
-scaled here to [0, 1]) and 0x00000801 for label vectors.
+IDX is the big-endian layout of the classic digit corpora.  Only unsigned-byte
+files are read: the magic's last byte is the number of 4-byte dimensions after
+it, 3 for image tensors (0x00000803: count, rows, cols, then bytes scaled here
+to [0, 1]) and 1 for label vectors (0x00000801: count, then bytes).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -29,27 +31,22 @@ def read_idx(path) -> np.ndarray:
     if len(raw) < 4:
         raise ParseError(f"{path}: expected 4 magic bytes at offset 0, found {len(raw)}")
     (magic,) = struct.unpack(">I", raw[:4])
-    if magic == IDX_IMAGES_MAGIC:
-        if len(raw) < 16:
-            raise ParseError(f"{path}: expected 16 header bytes, found {len(raw)}")
-        n, rows, cols = struct.unpack(">III", raw[4:16])
-        need = n * rows * cols
-        body = raw[16:]
-        if len(body) != need:
-            raise ParseError(f"{path}: expected {need} pixel bytes at offset 16, "
-                             f"found {len(body)}")
-        data = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
-        return data.reshape(n, rows * cols)
-    if magic == IDX_LABELS_MAGIC:
-        if len(raw) < 8:
-            raise ParseError(f"{path}: expected 8 header bytes, found {len(raw)}")
-        (n,) = struct.unpack(">I", raw[4:8])
-        body = raw[8:]
-        if len(body) != n:
-            raise ParseError(f"{path}: expected {n} label bytes at offset 8, "
-                             f"found {len(body)}")
-        return np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-    raise ParseError(f"{path}: unknown magic 0x{magic:08x} at offset 0")
+    if magic not in (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC):
+        raise ParseError(f"{path}: unknown magic 0x{magic:08x} at offset 0")
+    ndim = magic & 0xFF
+    start = 4 + 4 * ndim
+    if len(raw) < start:
+        raise ParseError(f"{path}: expected {start} header bytes, found {len(raw)}")
+    n, *shape = struct.unpack(f">{ndim}I", raw[4:start])
+    need = n * math.prod(shape)
+    body = raw[start:]
+    if len(body) != need:
+        raise ParseError(f"{path}: expected {need} {'pixel' if shape else 'label'} "
+                         f"bytes at offset {start}, found {len(body)}")
+    data = np.frombuffer(body, dtype=np.uint8)
+    if not shape:  # labels
+        return data.astype(np.int64)
+    return (data.astype(np.float64) / 255.0).reshape(n, math.prod(shape))
 
 
 def load_idx(images_path, labels_path) -> Dataset:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, ProblemSpec, config_to_dict
 from .dataio import load_idx
-from .metrics import TRACE_HEADER, TraceRecord, hypergrad_error
+from .metrics import TRACE_HEADER, TraceRecord, csv_line, hypergrad_error
 from .problem import Counts
 from .solvers import (MethodSpec, RunSummary, ScheduleConfig, SolverState, StopRule,
                       run_solver)
@@ -216,9 +216,6 @@ def run_experiments(configs: Sequence[ExperimentConfig], out_dir,
 # into comparison.csv, an optional probe, its figures and its checks.
 # ``_run_study`` builds, runs and writes every study the same way.
 
-_COMPARISON_HEADER = "label,metric,k,wall_seconds,value"
-
-
 @dataclass
 class StudyRun:
     """One run of a study, as its probe, rows, figures and checks see it."""
@@ -246,8 +243,8 @@ class Study:
     checks: Callable[[dict[str, StudyRun]], dict[str, bool]]
     # a per-step probe; one with a ``flush`` has it called once its run has ended
     probe: Callable[[StudyRun], Callable] | None = None
-    # comparison rows written ahead of a run's trace rows
-    rows: Callable[[StudyRun], list[str]] | None = None
+    # comparison rows, as cells, written ahead of a run's trace rows
+    rows: Callable[[StudyRun], list[tuple]] | None = None
     seed: int = 0
     takes_idx: bool = False
     # one process per run on the usable CPUs; off where an output reads one run's
@@ -275,16 +272,16 @@ def _run_study(name: str, study: Study, configs: list[ExperimentConfig], out_dir
     def lose(run: StudyRun, error: str) -> tuple:  # its worker process died
         return None, _failed_run(run.cfg, out / run.cfg.name, error, None), [], []
 
-    rows: list[str] = []
+    rows: list[tuple] = [("label", "metric", "k", "wall_seconds", "value")]
     for run, result in zip(todo, _map_runs(execute, todo, parallel, lose)):
         run.state, run.summary, run.records, run.probed = result
         if study.rows is not None:
             rows += study.rows(run)
-        rows += [f"{run.cfg.name},{column},{rec.k},{rec.wall_seconds!r},{value!r}"
+        rows += [(run.cfg.name, column, rec.k, rec.wall_seconds, value)
                  for rec in run.records for column in study.columns
                  if (value := getattr(rec, column)) is not None]
     with open(out / "comparison.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(line + "\n" for line in [_COMPARISON_HEADER, *rows]))
+        fh.write("".join(csv_line(row) + "\n" for row in rows))
 
     warnings: list[str] = []
     missing = [label for label, run in runs.items() if run.state is None]
@@ -435,8 +432,9 @@ def _hypergrad_probe(run: StudyRun):
     return probe
 
 
-def _hypergrad_rows(run: StudyRun) -> list[str]:
-    return [f"{run.cfg.name},hypergrad_error,{k},,{e!r}" for k, e in run.probed[::10]]
+def _hypergrad_rows(run: StudyRun) -> list[tuple]:
+    return [(run.cfg.name, "hypergrad_error", k, None, e)
+            for k, e in run.probed[::run.cfg.trace_every]]
 
 
 # dimension-scaling: per-iteration cost of the single-loop method vs full
@@ -459,13 +457,13 @@ def _seconds_per_iteration(summary: RunSummary) -> float:
     return summary.wall_seconds / max(summary.iterations, 1)
 
 
-def _scaling_rows(run: StudyRun) -> list[str]:
+def _scaling_rows(run: StudyRun) -> list[tuple]:
     name, s = run.cfg.name, run.summary
     per_iter = _seconds_per_iteration(s)
     iters = max(s.iterations, 1)
-    return [f"{name},seconds_per_iteration,,{per_iter!r},{per_iter!r}",
-            f"{name},hvps_per_iteration,,,{s.counts.hvps / iters!r}",
-            f"{name},jvps_per_iteration,,,{s.counts.jvps / iters!r}"]
+    return [(name, "seconds_per_iteration", None, per_iter, per_iter),
+            (name, "hvps_per_iteration", None, None, s.counts.hvps / iters),
+            (name, "jvps_per_iteration", None, None, s.counts.jvps / iters)]
 
 
 def _scaling_series(runs: dict[str, StudyRun]) -> list[Series]:
@@ -553,12 +551,9 @@ def _hypercleaning_probe(run: StudyRun):
     return probe
 
 
-def _hypercleaning_rows(run: StudyRun) -> list[str]:
-    rows = []
-    for k, t, acc, f1 in run.probed:
-        rows.append(f"{run.cfg.name},val_accuracy,{k},{t!r},{acc!r}")
-        rows.append(f"{run.cfg.name},f1_clean,{k},{t!r},{f1!r}")
-    return rows
+def _hypercleaning_rows(run: StudyRun) -> list[tuple]:
+    return [(run.cfg.name, metric, k, t, value) for k, t, acc, f1 in run.probed
+            for metric, value in (("val_accuracy", acc), ("f1_clean", f1))]
 
 
 def _hypercleaning_checks(runs: dict[str, StudyRun]) -> dict[str, bool]:

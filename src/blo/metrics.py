@@ -127,14 +127,19 @@ class TraceRecord:
     jvp_count: int
 
     def csv_row(self) -> str:
-        """Cells by value: None is empty, an int prints as str, anything
-        else as repr(float(value))."""
-        return ",".join([repr(val) if type(val) is float else "" if val is None
-                         else str(val) if isinstance(val, int) else repr(float(val))
-                         for val in _row_values(self)])
+        """This record's ``trace.csv`` line, by ``csv_line``'s cell rule."""
+        return csv_line(_row_values(self))
+
+
+def csv_line(values) -> str:
+    """A line of either CSV file: None is empty, an int or str prints as str,
+    anything else as repr(float(value))."""
+    return ",".join([repr(val) if type(val) is float else "" if val is None
+                     else str(val) if isinstance(val, (int, str)) else repr(float(val))
+                     for val in values])
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
-TRACE_HEADER = ",".join(TRACE_COLUMNS)
+TRACE_HEADER = csv_line(TRACE_COLUMNS)
 
 _row_values = attrgetter(*TRACE_COLUMNS)

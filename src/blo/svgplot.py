@@ -61,15 +61,11 @@ def _linear_ticks(lo: float, hi: float) -> list[float]:
         if span / (step * mult) <= 6.0:
             step *= mult
             break
-    # rounding to the step's decimals drops the error the sum builds up,
-    # which would otherwise print 0.9400000000000001 as 9.4e-01
+    # rounding to the step's decimals drops the error of i * step, which
+    # would otherwise print 47 * 0.02 = 0.9400000000000001 as 9.4e-01
     digits = max(0, -math.floor(math.log10(step)))
-    ticks = []
-    t = math.ceil(lo / step) * step
-    while t <= hi + 1e-9 * span:
-        ticks.append(round(t, digits))
-        t += step
-    return ticks
+    first, last = math.ceil(lo / step), math.floor((hi + 1e-9 * span) / step)
+    return [round(i * step, digits) for i in range(first, last + 1)]
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:

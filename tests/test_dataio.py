@@ -57,6 +57,20 @@ class TestReadIdx:
         with pytest.raises(ParseError, match=r"unknown magic 0xdeadbeef at offset 0"):
             read_idx(bad)
 
+    def test_other_idx_types_rejected(self, tmp_path):
+        # a valid 2-D unsigned-byte IDX file, but neither images nor labels
+        bad = tmp_path / "bad"
+        bad.write_bytes(struct.pack(">III", 0x00000802, 2, 2) + bytes(4))
+        with pytest.raises(ParseError, match=r"unknown magic 0x00000802 at offset 0"):
+            read_idx(bad)
+
+    def test_zero_images(self, tmp_path):
+        img = tmp_path / "img"
+        img.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 0, 3, 2))
+        feats = read_idx(img)
+        assert feats.dtype == np.float64
+        assert feats.shape == (0, 6)
+
     def test_too_short_for_magic(self, tmp_path):
         bad = tmp_path / "bad"
         bad.write_bytes(b"\x00\x08")

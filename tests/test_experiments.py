@@ -551,6 +551,21 @@ class TestReproduce:
             payload = json.loads((run_dir / "summary.json").read_text())
             assert payload["status"] in ("converged", "max-iters")
 
+    def test_comparison_cells_are_the_trace_cells(self, tmp_path):
+        assert reproduce("counterexample", tmp_path) == 0
+        traces = {}
+        for name in ("nosa", "bagdc"):
+            header, *lines = (tmp_path / name / "trace.csv").read_text().splitlines()
+            for line in lines:
+                cells = dict(zip(header.split(","), line.split(",")))
+                traces.setdefault((name, cells["k"]), []).append(cells)
+        header, *rows = (tmp_path / "comparison.csv").read_text().splitlines()
+        assert header == "label,metric,k,wall_seconds,value" and rows
+        for row in rows:
+            label, metric, k, wall_seconds, value = row.split(",")
+            assert any((cells["wall_seconds"], cells[metric]) == (wall_seconds, value)
+                       for cells in traces[label, k]), row
+
     def test_figures_go_through_the_module_attribute_with_a_positional_path(
             self, tmp_path, monkeypatch):
         # perfbench patches blo.svgplot.emit_svg and reads svg.bytes from args[2]

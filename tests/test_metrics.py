@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import blo.metrics
 from blo.errors import DivergenceError, NonPositiveCurvatureError
 from blo.linalg import cg_solve
-from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, TraceRecord, hypergrad_error,
-                         kkt_residual, quadratic_oracle)
+from blo.metrics import (TRACE_COLUMNS, TRACE_HEADER, TraceRecord, csv_line,
+                         hypergrad_error, kkt_residual, quadratic_oracle)
 from blo.problem import Counts
 from blo.solvers import (MethodSpec, ScheduleConfig, SolverState, StopRule,
                          _make_record, rhg_hypergradient, run_solver)
@@ -224,6 +224,18 @@ class TestTraceRecord:
         for rec in recs:
             assert rec.csv_row() == reference_csv_row(rec)
         assert recs[2].csv_row().split(",")[10:12] == ["0", "1"]
+
+
+class TestCsvLine:
+    def test_cells_by_value(self):
+        values = [None, 7, -3, True, np.int64(2), -0.0, 5e-324, math.nan, math.inf,
+                  -math.inf, 0.1, np.float64(0.25), "nosa", "dist_x_rel", ""]
+        assert csv_line(values) == (",7,-3,True,2.0,-0.0,5e-324,nan,inf,-inf,0.1,0.25,"
+                                    "nosa,dist_x_rel,")
+
+    def test_strings_pass_through(self):
+        cells = ("label", "metric", "k", "wall_seconds", "value")
+        assert csv_line(cells) == ",".join(cells)
 
 
 def reference_csv_row(rec):

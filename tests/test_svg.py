@@ -1,9 +1,15 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import blo
 from blo.svgplot import PALETTE, AxesSpec, Series, emit_svg
 
 
@@ -101,6 +107,20 @@ class TestEmitSvg:
                             r'font-size="11">([^<]+)<', text)
         assert labels == ["0.93", "0.935", "0.94", "0.945"]
         assert "e-01" not in text
+
+    def test_linear_axis_near_1e16_returns(self, tmp_path):
+        # the step 1.0 is half the spacing of floats at 1e16, so a tick walk
+        # that adds the step to a running sum never leaves the range, and its
+        # list grows without bound; a subprocess with a short timeout fails
+        # that walk instead of hanging the suite
+        path = tmp_path / "big.svg"
+        script = ("import sys; from blo.svgplot import AxesSpec, Series, emit_svg; "
+                  "emit_svg([Series('big', [0.0, 1.0], [1e16, 1e16 + 4])], "
+                  "AxesSpec(x_scale='linear', y_scale='linear'), sys.argv[1])")
+        env = dict(os.environ, PYTHONPATH=str(Path(blo.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True,
+                       timeout=10)
+        assert ET.parse(path).getroot().tag.endswith("svg")
 
     def test_nonpositive_x_dropped_on_log_x_axis(self, tmp_path):
         s = Series("a", [-1.0, 0.0, 1.0, 10.0], [1.0, 2.0, 3.0, 4.0])
