@@ -247,8 +247,10 @@ class Study:
     rows: Callable[[StudyRun], list[tuple]] | None = None
     seed: int = 0
     takes_idx: bool = False
-    # one process per run on the usable CPUs; off where an output reads one run's
-    # clock alone, runs are too short to pay for forks, or a profiler should see them
+    # one process per run on the usable CPUs, for a study of several runs that
+    # each last long enough to pay for a fork; off where an output reads one
+    # run's clock alone, or where one run is most of the study and a profiler
+    # should see its steps
     pool: bool = False
 
 
@@ -603,7 +605,8 @@ _STUDIES: dict[str, Study] = {
                         AxesSpec("iteration", "hypergradient error", "linear", "log",
                                  "inner-solve accuracy sweep"),
                         _probe_series(0, 1)),),
-        checks=lambda runs: {"all_runs_finished": _all_finished(runs)}),
+        checks=lambda runs: {"all_runs_finished": _all_finished(runs)},
+        pool=True),  # ten runs, no clock compared; each worker flushes its own probe
     "dimension-scaling": Study(
         configs=_scaling_configs,
         columns=(),

@@ -65,7 +65,8 @@ def _linear_ticks(lo: float, hi: float) -> list[float]:
     # would otherwise print 47 * 0.02 = 0.9400000000000001 as 9.4e-01
     digits = max(0, -math.floor(math.log10(step)))
     first, last = math.ceil(lo / step), math.floor((hi + 1e-9 * span) / step)
-    return [round(i * step, digits) for i in range(first, last + 1)]
+    # a step below the spacing of floats at lo rounds neighbours to one value
+    return list(dict.fromkeys(round(i * step, digits) for i in range(first, last + 1)))
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:

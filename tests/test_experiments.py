@@ -300,10 +300,27 @@ class TestRunPool:
         assert started == [(2,), (2,)]
 
     def test_only_hypercleaning_pools_its_runs(self):
-        # dimension-scaling plots each run's own clock, counterexample and
-        # eta-sweep are too short to pay for the forks, and the rest keep every
-        # step in the calling process, where a profiler sees it
-        assert [name for name, study in _STUDIES.items() if study.pool] == ["hypercleaning"]
+        # ll-accuracy's ten runs and hypercleaning's two are each long enough to
+        # pay for a fork; dimension-scaling plots each run's own clock,
+        # counterexample and eta-sweep end before a fork pays off, and multimin's
+        # bagdc run is most of its study, whose steps a profiler should see
+        assert [name for name, study in _STUDIES.items() if study.pool] == [
+            "ll-accuracy", "hypercleaning"]
+
+    def test_ll_accuracy_takes_one_pool_of_the_usable_cpus(self, tmp_path, monkeypatch):
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert reproduce("ll-accuracy", tmp_path / "inline", parallel=1) == 0
+        assert started == []
+        assert reproduce("ll-accuracy", tmp_path / "pool") == 0
+        assert started == [(4,)]
 
     def test_parallel_below_one_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="--parallel must be at least 1, got 0"):

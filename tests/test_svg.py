@@ -122,6 +122,16 @@ class TestEmitSvg:
                        timeout=10)
         assert ET.parse(path).getroot().tag.endswith("svg")
 
+    @pytest.mark.parametrize("lo, hi, ticks", [
+        (1e16, 1e16 + 4, 3),  # step 1.0, half the spacing of floats at 1e16
+        (7.767940383591066e-289, math.nextafter(7.767940383591066e-289, 1.0), 2),
+    ])
+    def test_linear_ticks_below_float_spacing_are_distinct(self, tmp_path, lo, hi, ticks):
+        s = Series("r", [0.0, 1.0], [lo, hi])
+        text, _ = render(tmp_path, [s], AxesSpec(x_scale="linear", y_scale="linear"))
+        ys = re.findall(r'<line x1="67.00" y1="([^"]+)" x2="72.00"', text)
+        assert len(ys) == len(set(ys)) == ticks
+
     def test_nonpositive_x_dropped_on_log_x_axis(self, tmp_path):
         s = Series("a", [-1.0, 0.0, 1.0, 10.0], [1.0, 2.0, 3.0, 4.0])
         text, warnings = render(tmp_path, [s], AxesSpec(x_scale="log", y_scale="linear"))
